@@ -4,8 +4,10 @@ A bouquet is encoded by the cyclic order of its 2e half-edges around the
 single vertex; an edge whose two half-edges carry equal signs is an
 orientable loop (an annulus), unequal signs mark a Möbius band.  Boundary
 components of spanning subgraphs are counted by tracing the ribbon
-boundary, which yields the quasi-tree delta-matroid, Euler genus, and the
-genus-enumerating polynomial of all partial duals.
+boundary, which yields Euler genus and the quasi-tree delta-matroid.  The
+genus-enumerating polynomial of all partial duals is computed from the
+same delta-matroid taken as D(C) of the chord interlacement matrix C
+(Bouchet 1988); boundary tracing is kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -13,14 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import (
-    MAX_ENUM_GROUND,
-    ParseError,
-    SetSystem,
-    UnsupportedSizeError,
-    _validated,
-)
-from .gf2 import SymMatrixGF2
+from .core import MAX_ENUM_GROUND, ParseError, SetSystem, UnsupportedSizeError
+from .gf2 import SymMatrixGF2, delta_matroid_of_matrix
 from .poly import WidthPolynomial, twist_polynomial_fast
 
 _TOKEN = re.compile(r"-?\d+")
@@ -43,8 +39,9 @@ class SignedRotation:
             if sign not in (-1, 1):
                 raise ValueError("signs must be +1 or -1")
             counts[edge] += 1
-        if len(self.seq) != 2 * len(self.labels) or any(c != 2 for c in counts):
-            raise ValueError("every edge must occur exactly twice")
+        bad = [self.labels[i] for i, c in enumerate(counts) if c != 2]
+        if bad:
+            raise ValueError(f"labels must occur exactly twice; offending: {bad}")
         if self.e > MAX_ENUM_GROUND:
             raise UnsupportedSizeError(
                 f"{self.e} edges exceed the supported limit of {MAX_ENUM_GROUND}"
@@ -106,16 +103,10 @@ def parse_signed_rotation(text: str) -> SignedRotation:
         if label not in index:
             index[label] = len(index)
         seq.append((index[label], -1 if value < 0 else 1))
-    labels = tuple(index)
-    counts = [0] * len(labels)
-    for edge, _ in seq:
-        counts[edge] += 1
-    bad = [labels[i] for i, c in enumerate(counts) if c != 2]
-    if bad:
-        raise ParseError(f"labels must occur exactly twice; offending: {bad}")
-    if len(labels) > MAX_ENUM_GROUND:
-        raise ParseError(f"too many edges ({len(labels)} > {MAX_ENUM_GROUND})")
-    return SignedRotation(tuple(seq), labels)
+    try:
+        return SignedRotation(tuple(seq), tuple(index))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def rotation_from_pairing(
@@ -212,9 +203,11 @@ def delta_matroid_of_bouquet(b: SignedRotation) -> SetSystem:
 
     In a bouquet every subgraph is spanning and connected, so quasi-trees
     are exactly the subsets with f = 1; the empty set always qualifies.
+    This is the oracle for D(interlacement_matrix(b)), which is the same
+    family.
     """
     fam = tuple(a for a in range(1 << b.e) if boundary_components(b, a) == 1)
-    return _validated(SetSystem(b.e, fam), "delta_matroid_of_bouquet")
+    return SetSystem(b.e, fam)
 
 
 def interlacement_matrix(b: SignedRotation) -> SymMatrixGF2:
@@ -236,8 +229,12 @@ def interlacement_matrix(b: SignedRotation) -> SymMatrixGF2:
 
 def partial_duality_polynomial(b: SignedRotation) -> WidthPolynomial:
     """Generating function of all partial duals of the bouquet by Euler
-    genus, computed as the twist polynomial of its delta-matroid."""
-    return twist_polynomial_fast(delta_matroid_of_bouquet(b))
+    genus, computed as the twist polynomial of its delta-matroid.
+
+    The quasi-tree delta-matroid is taken as D(interlacement matrix);
+    delta_matroid_of_bouquet traces the same family and is its oracle.
+    """
+    return twist_polynomial_fast(delta_matroid_of_matrix(interlacement_matrix(b)))
 
 
 def edge_table(b: SignedRotation) -> list[tuple[int, int, int, bool]]:

@@ -13,14 +13,13 @@ import sys
 from pathlib import Path
 
 from .bouquet import (
-    delta_matroid_of_bouquet,
     edge_table,
+    interlacement_matrix,
     parse_signed_rotation,
     partial_duality_polynomial,
 )
 from .core import (
     ParseError,
-    UnsupportedSizeError,
     format_dm,
     is_delta_matroid,
     iter_elements,
@@ -63,6 +62,8 @@ def _parse_index_set(text: str, n: int) -> int:
             raise ParseError(f"malformed element index {tok!r}") from None
         if not 0 <= e < n:
             raise ParseError(f"element {e} out of range 0..{n - 1}")
+        if (mask >> e) & 1:
+            raise ParseError(f"element {e} repeated")
         mask |= 1 << e
     return mask
 
@@ -138,7 +139,7 @@ def _print_edge_table(rot) -> None:
 def _cmd_from_bouquet(args: argparse.Namespace) -> int:
     rot = parse_signed_rotation(args.rotation)
     _print_edge_table(rot)
-    sys.stdout.write(format_dm(delta_matroid_of_bouquet(rot)))
+    sys.stdout.write(format_dm(delta_matroid_of_matrix(interlacement_matrix(rot))))
     return 0
 
 
@@ -237,10 +238,7 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnsupportedSizeError, ValueError) as exc:
+    except ValueError as exc:  # ParseError and UnsupportedSizeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

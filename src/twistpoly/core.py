@@ -18,12 +18,6 @@ from typing import Iterable, Iterator, NamedTuple
 # limit.
 MAX_ENUM_GROUND = 16
 
-# When true, operations that are guaranteed to produce delta-matroids
-# re-check the exchange axiom on their output.  Off by default: the check
-# is quadratic in the family size and dominates large sweeps.
-strict_validation = False
-
-
 class UnsupportedSizeError(ValueError):
     """Raised when a 2^n enumeration would exceed the supported envelope."""
 
@@ -148,18 +142,11 @@ def is_delta_matroid(s: SetSystem) -> bool:
     return True
 
 
-def _validated(s: SetSystem, origin: str) -> SetSystem:
-    if strict_validation and not is_delta_matroid(s):
-        raise AssertionError(f"{origin} produced a non-delta-matroid: {s}")
-    return s
-
-
 def twist(d: SetSystem, a: int) -> SetSystem:
     """Twist D*A: replace every feasible set F by A△F."""
     if not 0 <= a <= d.full_mask:
         raise ValueError(f"twist mask {a} out of range for ground set of size {d.n}")
-    out = SetSystem(d.n, tuple(sorted(a ^ f for f in d.feasible)))
-    return _validated(out, "twist")
+    return SetSystem(d.n, tuple(sorted(a ^ f for f in d.feasible)))
 
 
 def dual(d: SetSystem) -> SetSystem:
@@ -266,7 +253,7 @@ def min_max_parts(d: SetSystem) -> tuple[SetSystem, SetSystem]:
     lo, hi = min(sizes), max(sizes)
     dmin = SetSystem(d.n, tuple(f for f, k in zip(d.feasible, sizes) if k == lo))
     dmax = SetSystem(d.n, tuple(f for f, k in zip(d.feasible, sizes) if k == hi))
-    return _validated(dmin, "min part"), _validated(dmax, "max part")
+    return dmin, dmax
 
 
 def _splits_over(d: SetSystem, part: int) -> bool:
@@ -294,8 +281,9 @@ def is_connected(d: SetSystem) -> bool:
     if d.feasible and d.feasible[0] == 0:
         from . import gf2  # deferred: gf2 depends on this module
 
-        if gf2.is_normal_binary(d):
-            graph = gf2.intersection_graph(d)
+        c = gf2.matrix_of_normal(d)
+        if gf2.delta_matroid_of_matrix(c) == d:  # d is normal binary: d = D(C)
+            graph = gf2.IntersectionGraph(c)
             return len(gf2.graph_predicates(graph).components) <= 1
     # Fix element 0 on the left side so each bipartition is seen once.
     for part in range(1 << (d.n - 1)):

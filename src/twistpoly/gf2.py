@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import (
-    ParseError,
-    SetSystem,
-    _validated,
-    check_enum_size,
-)
+from .core import ParseError, SetSystem, check_enum_size
 
 
 @dataclass(frozen=True)
@@ -66,38 +61,15 @@ class SymMatrixGF2:
         )
 
 
-def gf2_rank(c: SymMatrixGF2, a: int) -> int:
-    """Rank over GF(2) of the principal submatrix C[A]."""
-    if not 0 <= a < (1 << c.n):
-        raise ValueError(f"mask {a} out of range")
-    basis = [0] * (c.n + 1)
+def _rank(rows: tuple[int, ...], a: int, early_exit: bool) -> int:
+    """Rank over GF(2) of the principal submatrix on A.
+
+    With ``early_exit`` the elimination stops at the first dependent row
+    and returns a value below |A|; D(C) only needs to know whether C[A]
+    is nonsingular.
+    """
+    basis = [0] * a.bit_length()
     rank = 0
-    rem = a
-    while rem:
-        low = rem & -rem
-        rem ^= low
-        v = c.rows[low.bit_length() - 1] & a
-        while v:
-            t = v.bit_length() - 1
-            if basis[t]:
-                v ^= basis[t]
-            else:
-                basis[t] = v
-                rank += 1
-                break
-    return rank
-
-
-def is_nonsingular(c: SymMatrixGF2, a: int) -> bool:
-    """Is C[A] nonsingular?  C[∅] is nonsingular by convention."""
-    return gf2_rank(c, a) == a.bit_count()
-
-
-def _nonsingular_masked(rows: tuple[int, ...], a: int, basis: list[int]) -> bool:
-    # Hot path of delta_matroid_of_matrix: early-out elimination with a
-    # caller-provided scratch basis (reset here).
-    for i in range(len(basis)):
-        basis[i] = 0
     rem = a
     while rem:
         low = rem & -rem
@@ -109,19 +81,28 @@ def _nonsingular_masked(rows: tuple[int, ...], a: int, basis: list[int]) -> bool
                 v ^= basis[t]
             else:
                 basis[t] = v
+                rank += 1
                 break
         else:
-            return False
-    return True
+            if early_exit:
+                return rank
+    return rank
+
+
+def gf2_rank(c: SymMatrixGF2, a: int) -> int:
+    """Rank over GF(2) of the principal submatrix C[A]."""
+    if not 0 <= a < (1 << c.n):
+        raise ValueError(f"mask {a} out of range")
+    return _rank(c.rows, a, False)
 
 
 def delta_matroid_of_matrix(c: SymMatrixGF2) -> SetSystem:
-    """D(C): feasible sets are the A with C[A] nonsingular; always normal."""
+    """D(C): feasible sets are the A with C[A] nonsingular (C[∅] is
+    nonsingular by convention); always normal."""
     check_enum_size(c.n)
     rows = c.rows
-    basis = [0] * (c.n + 1)
-    fam = tuple(a for a in range(1 << c.n) if _nonsingular_masked(rows, a, basis))
-    return _validated(SetSystem(c.n, fam), "delta_matroid_of_matrix")
+    fam = tuple(a for a in range(1 << c.n) if _rank(rows, a, True) == a.bit_count())
+    return SetSystem(c.n, fam)
 
 
 def matrix_of_normal(d: SetSystem) -> SymMatrixGF2:
@@ -189,6 +170,8 @@ class GraphProperties(NamedTuple):
     components: tuple[tuple[int, ...], ...]
     is_complete: bool
     all_components_complete_odd: bool
+    # bipartition witness (mask of part X, mask of part Y), or None
+    coloring: tuple[int, int] | None
 
 
 def _component_complete(rows: tuple[int, ...], comp: tuple[int, ...]) -> bool:
@@ -199,8 +182,9 @@ def _component_complete(rows: tuple[int, ...], comp: tuple[int, ...]) -> bool:
 
 
 def graph_predicates(g: IntersectionGraph) -> GraphProperties:
-    """Bipartiteness (a loop forces false), connected components, and the
-    complete / complete-of-odd-order component predicates."""
+    """Bipartiteness (a loop forces false) with a 2-coloring witness,
+    connected components, and the complete / complete-of-odd-order
+    component predicates."""
     n = g.n
     rows = g.adjacency.rows
     color = [-1] * n
@@ -232,35 +216,16 @@ def graph_predicates(g: IntersectionGraph) -> GraphProperties:
     all_odd = all(
         flag and len(comp) % 2 == 1 for flag, comp in zip(complete_flags, components)
     )
-    return GraphProperties(bipartite, components, is_complete, all_odd)
+    coloring = None
+    if bipartite:
+        x = sum(1 << v for v in range(n) if color[v] == 0)
+        coloring = x, ((1 << n) - 1) & ~x
+    return GraphProperties(bipartite, components, is_complete, all_odd, coloring)
 
 
 def two_coloring(g: IntersectionGraph) -> tuple[int, int] | None:
     """A bipartition witness (mask of part X, mask of part Y), or None."""
-    n = g.n
-    rows = g.adjacency.rows
-    if any((rows[v] >> v) & 1 for v in range(n)):
-        return None
-    color = [-1] * n
-    for start in range(n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            nb = rows[u] & ~(1 << u)
-            while nb:
-                low = nb & -nb
-                nb ^= low
-                v = low.bit_length() - 1
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    x = sum(1 << v for v in range(n) if color[v] == 0)
-    return x, ((1 << n) - 1) & ~x
+    return graph_predicates(g).coloring
 
 
 # --- text formats ------------------------------------------------------------

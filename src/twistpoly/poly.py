@@ -100,15 +100,6 @@ def twist_width(d: SetSystem, a: int) -> int:
     return max(sizes) - min(sizes)
 
 
-_POP8 = np.array([x.bit_count() for x in range(256)], dtype=np.uint8)
-
-
-def _popcounts(a: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(a)
-    return _POP8[a & 0xFF] + _POP8[(a >> 8) & 0xFF]
-
-
 def twist_polynomial_naive(d: SetSystem) -> WidthPolynomial:
     """Twist polynomial straight from the definition.
 
@@ -124,7 +115,7 @@ def twist_polynomial_naive(d: SetSystem) -> WidthPolynomial:
     chunk = max(1, (1 << 22) // len(feas))
     for lo in range(0, size, chunk):
         block = np.arange(lo, min(lo + chunk, size), dtype=np.uint32)
-        pc = _popcounts(block[:, None] ^ feas[None, :]).astype(np.int16)
+        pc = np.bitwise_count(block[:, None] ^ feas[None, :]).astype(np.int16)
         counts += np.bincount(pc.max(axis=1) - pc.min(axis=1), minlength=d.n + 1)
     return WidthPolynomial.from_counts(counts.tolist())
 

@@ -13,10 +13,18 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
-from typing import Iterator
+from typing import Callable, Iterator
 
-from . import core
-from .core import SetSystem, direct_sum, min_max_parts, restrict, rho, twist
+from .core import (
+    SetSystem,
+    direct_sum,
+    is_delta_matroid,
+    iter_elements,
+    min_max_parts,
+    restrict,
+    rho,
+    twist,
+)
 from .bouquet import (
     SignedRotation,
     canonical_bouquet,
@@ -32,7 +40,6 @@ from .gf2 import (
     delta_matroid_of_matrix,
     graph_predicates,
     matrix_of_normal,
-    two_coloring,
 )
 from .poly import (
     WidthPolynomial,
@@ -52,6 +59,10 @@ _BOUNDS = {
     "all-signed-rotations": 5,
 }
 
+# Exhaustive rotation sweeps stop below the bound: e = 5 alone has 30240
+# rotations.
+_EXHAUSTIVE_ROTATIONS = 4
+
 
 @dataclass
 class VerificationReport:
@@ -67,7 +78,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.counterexamples and not self._suppressed
+        """A sweep that checked nothing shows nothing, so it does not pass."""
+        return self.checked > 0 and not self.counterexamples and not self._suppressed
 
     def fail(self, text: str) -> None:
         if len(self.counterexamples) < _CEX_CAP:
@@ -89,42 +101,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class InstanceFamily:
-    """A named exhaustive instance stream with its size bound."""
-
-    kind: str
-    bound: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in _BOUNDS and self.kind not in ("canonical-B", "complete-K"):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        cap = _BOUNDS.get(self.kind)
-        if cap is not None and self.bound > cap:
-            raise ValueError(f"{self.kind} bound {self.bound} exceeds {cap}")
-
-    def instances(self) -> Iterator:
-        yield from enumerate_family(self)
-
-
-def enumerate_family(family: InstanceFamily) -> Iterator:
-    kind, bound = family.kind, family.bound
-    if kind == "all-set-systems":
-        yield from all_set_systems(bound)
-    elif kind == "all-delta-matroids":
-        yield from all_delta_matroids(bound)
-    elif kind == "all-symmetric-gf2":
-        yield from all_symmetric_matrices(bound)
-    elif kind == "all-simple-graphs":
-        yield from all_simple_graph_matrices(bound)
-    elif kind == "all-signed-rotations":
-        yield from all_signed_rotations(bound)
-    elif kind == "canonical-B":
-        yield from (canonical_bouquet(t) for t in range(1, bound + 1))
-    elif kind == "complete-K":
-        yield from (complete_graph_matrix(v) for v in range(1, bound + 1))
-
-
 def _check_family_bound(kind: str, n: int) -> None:
     if n > _BOUNDS[kind]:
         raise ValueError(f"{kind} enumeration bounded at {_BOUNDS[kind]}, got {n}")
@@ -134,51 +110,15 @@ def all_set_systems(n: int) -> Iterator[SetSystem]:
     """All proper set systems on {0..n-1}: 2^(2^n) - 1 of them."""
     _check_family_bound("all-set-systems", n)
     for fb in range(1, 1 << (1 << n)):
-        yield SetSystem(n, _bitmap_members(fb))
-
-
-def _bitmap_members(fb: int) -> tuple[int, ...]:
-    out = []
-    while fb:
-        low = fb & -fb
-        out.append(low.bit_length() - 1)
-        fb ^= low
-    return tuple(out)
-
-
-def _axiom_on_bitmap(fb: int, members: tuple[int, ...]) -> bool:
-    # Exchange axiom with membership tested by bit lookup in the family
-    # bitmap; equivalent to core.is_delta_matroid on the same family.
-    for x in members:
-        for y in members:
-            d = x ^ y
-            du = d
-            while du:
-                bu = du & -du
-                du ^= bu
-                t = x ^ bu
-                if (fb >> t) & 1:
-                    continue
-                dv = d ^ bu
-                while dv:
-                    bv = dv & -dv
-                    dv ^= bv
-                    if (fb >> (t ^ bv)) & 1:
-                        break
-                else:
-                    return False
-    return True
+        # via a list: tuple() over a generator starts at 10 slots and shrinks,
+        # which fills CPython's per-size tuple free lists (+1.5 MB at n = 4)
+        yield SetSystem(n, tuple(list(iter_elements(fb))))
 
 
 @lru_cache(maxsize=None)
 def _delta_matroid_families(n: int) -> tuple[tuple[int, ...], ...]:
     _check_family_bound("all-delta-matroids", n)
-    out = []
-    for fb in range(1, 1 << (1 << n)):
-        members = _bitmap_members(fb)
-        if _axiom_on_bitmap(fb, members):
-            out.append(members)
-    return tuple(out)
+    return tuple(s.feasible for s in all_set_systems(n) if is_delta_matroid(s))
 
 
 def all_delta_matroids(n: int) -> Iterator[SetSystem]:
@@ -427,7 +367,7 @@ def check_bipartite_constant_term(n_max: int = 6) -> VerificationReport:
                 )
                 continue
             if props.is_bipartite and n:
-                x, y = two_coloring(IntersectionGraph(recon))
+                x, y = props.coloring
                 wx = width(restrict(d, x))
                 wy = width(restrict(d, y))
                 if wx or wy or twist_width(d, x) != 0:
@@ -475,7 +415,7 @@ def check_monomial_complete_odd(
 
 
 def check_interlacement_oracle(
-    e_exhaustive: int = 4,
+    e_exhaustive: int = _EXHAUSTIVE_ROTATIONS,
     trials: int = 10_000,
     e_max: int = 8,
     seed: int = 0,
@@ -486,34 +426,35 @@ def check_interlacement_oracle(
     rep = VerificationReport("interlacement-oracle", seed=seed)
     t0 = time.perf_counter()
 
-    def verify(rot: SignedRotation) -> None:
+    def verify(rot: SignedRotation, check_axiom: bool) -> None:
         rep.checked += 1
         traced = delta_matroid_of_bouquet(rot)
         algebraic = delta_matroid_of_matrix(interlacement_matrix(rot))
         if traced != algebraic:
             rep.fail(f"rotation {rot}: traced {traced} != algebraic {algebraic}")
             return
+        if check_axiom and not is_delta_matroid(traced):
+            rep.fail(f"rotation {rot}: {traced} is not a delta-matroid")
+            return
         genus = euler_genus(rot, rot.full_mask)
         if genus != width(traced):
             rep.fail(f"rotation {rot}: genus {genus} != width {width(traced)}")
 
-    saved = core.strict_validation
-    core.strict_validation = True  # re-check the axiom on the small exhaustive part
-    try:
-        for e in range(1, e_exhaustive + 1):
-            for rot in all_signed_rotations(e):
-                verify(rot)
-    finally:
-        core.strict_validation = saved
+    # the exchange axiom is re-checked only on the small exhaustive part
+    for e in range(1, e_exhaustive + 1):
+        for rot in all_signed_rotations(e):
+            verify(rot, True)
     if trials:
         rng = Random(seed)
         for _ in range(trials):
-            verify(random_signed_rotation(rng.randint(1, e_max), rng))
+            verify(random_signed_rotation(rng.randint(1, e_max), rng), False)
     rep.elapsed = time.perf_counter() - t0
     return rep
 
 
-def check_same_interlacement_pairs(e: int = 4, min_pairs: int = 20) -> VerificationReport:
+def check_same_interlacement_pairs(
+    e: int = _EXHAUSTIVE_ROTATIONS, min_pairs: int = 20
+) -> VerificationReport:
     """Distinct rotations with equal interlacement matrices must have equal
     partial-duality polynomials."""
     rep = VerificationReport("same-interlacement-pairs")
@@ -562,51 +503,67 @@ def check_fast_naive_equivalence(
 
 
 # --- suites -------------------------------------------------------------------
+#
+# A suite maps --max-n (None keeps the check's own defaults) and the seed to
+# its reports.
 
-SUITE_NAMES = (
-    "all",
-    "prop2",
-    "lemma4",
-    "lemma5",
-    "prop1",
-    "constant",
-    "bipartite",
-    "monomial",
-    "interlacement",
-    "fastnaive",
-)
+Suite = Callable[[int | None, int], list[VerificationReport]]
+
+
+def _sized(check: Callable[..., VerificationReport], key: str, seeded: bool = False) -> Suite:
+    """The suite of one check whose size parameter is ``key``."""
+
+    def suite(max_n: int | None, seed: int) -> list[VerificationReport]:
+        kwargs = {} if max_n is None else {key: max_n}
+        if seeded:
+            kwargs["seed"] = seed
+        return [check(**kwargs)]
+
+    return suite
+
+
+def _monomial_suite(max_n: int | None, seed: int) -> list[VerificationReport]:
+    if max_n is None:
+        return [check_monomial_complete_odd(seed=seed)]
+    # the exhaustive part stops at the enumeration bound; the n = 7 samples
+    # run only when max_n reaches past it
+    n_max = min(max_n, _BOUNDS["all-simple-graphs"])
+    samples = {} if max_n > n_max else {"n7_samples": 0}
+    return [check_monomial_complete_odd(n_max, seed=seed, **samples)]
+
+
+def _interlacement_suite(max_n: int | None, seed: int) -> list[VerificationReport]:
+    if max_n is None:
+        return [check_interlacement_oracle(seed=seed), check_same_interlacement_pairs()]
+    e = min(max_n, _EXHAUSTIVE_ROTATIONS)
+    return [
+        check_interlacement_oracle(e, e_max=max_n, seed=seed),
+        check_same_interlacement_pairs(e),
+    ]
+
+
+_SUITES: dict[str, Suite] = {
+    "prop2": _sized(check_prop2, "n_max"),
+    "lemma4": _sized(check_lemma4, "t_max"),
+    "lemma5": _sized(check_lemma5_and_lemma2, "n_max"),
+    "prop1": _sized(check_prop1, "v_max"),
+    "constant": _sized(check_constant_iff_single, "n_max"),
+    "bipartite": _sized(check_bipartite_constant_term, "n_max"),
+    "monomial": _monomial_suite,
+    "interlacement": _interlacement_suite,
+    "fastnaive": _sized(check_fast_naive_equivalence, "n_random", seeded=True),
+}
+
+SUITE_NAMES = ("all", *_SUITES)
 
 
 def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list[VerificationReport]:
     """Run one named suite (or all of them); max_n overrides the suite's
     instance-size bound, seed drives the randomized sweeps."""
+    if max_n is not None and max_n < 0:
+        raise ValueError(f"max-n must be nonnegative, got {max_n}")
     if name == "all":
-        out = []
-        for sub in SUITE_NAMES[1:]:
-            out.extend(run_suite(sub, max_n, seed))
-        return out
-    if name == "prop2":
-        return [check_prop2(4 if max_n is None else max_n)]
-    if name == "lemma4":
-        return [check_lemma4(12 if max_n is None else max_n)]
-    if name == "lemma5":
-        return [check_lemma5_and_lemma2(4 if max_n is None else max_n)]
-    if name == "prop1":
-        return [check_prop1(12 if max_n is None else max_n)]
-    if name == "constant":
-        return [check_constant_iff_single(4 if max_n is None else max_n)]
-    if name == "bipartite":
-        return [check_bipartite_constant_term(6 if max_n is None else max_n)]
-    if name == "monomial":
-        bound = 6 if max_n is None else max_n
-        samples = 100_000 if bound >= 7 or max_n is None else 0
-        return [check_monomial_complete_odd(min(bound, 6), samples, seed)]
-    if name == "interlacement":
-        e_max = 8 if max_n is None else max_n
-        return [
-            check_interlacement_oracle(min(4, e_max), 10_000, e_max, seed),
-            check_same_interlacement_pairs(min(4, e_max)),
-        ]
-    if name == "fastnaive":
-        return [check_fast_naive_equivalence(4, 500, 12 if max_n is None else max_n, seed)]
-    raise ValueError(f"unknown suite {name!r}")
+        return [rep for sub in _SUITES for rep in run_suite(sub, max_n, seed)]
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return _SUITES[name](max_n, seed)

@@ -6,8 +6,7 @@ from random import Random
 
 import pytest
 
-from twistpoly import core
-from twistpoly.core import ParseError, SetSystem, UnsupportedSizeError
+from twistpoly.core import ParseError, SetSystem, UnsupportedSizeError, is_delta_matroid
 from twistpoly.bouquet import (
     SignedRotation,
     boundary_components,
@@ -21,7 +20,7 @@ from twistpoly.bouquet import (
     rotation_from_pairing,
 )
 from twistpoly.gf2 import SymMatrixGF2, delta_matroid_of_matrix
-from twistpoly.poly import width
+from twistpoly.poly import twist_polynomial_fast, width
 from twistpoly.verify import (
     all_signed_rotations,
     complete_graph_matrix,
@@ -91,12 +90,11 @@ def test_delta_matroid_of_bouquet_examples():
     assert delta_matroid_of_bouquet(INTERLACED) == SetSystem.from_sets(2, [[], [0, 1]])
 
 
-def test_bouquet_delta_matroids_are_normal_and_valid(monkeypatch):
-    monkeypatch.setattr(core, "strict_validation", True)
+def test_bouquet_delta_matroids_are_normal_and_valid():
     rng = Random(59)
     for _ in range(10):
         d = delta_matroid_of_bouquet(random_signed_rotation(rng.randint(1, 6), rng))
-        assert d.feasible[0] == 0
+        assert d.feasible[0] == 0 and is_delta_matroid(d)
 
 
 def test_interlacement_matrix_examples():
@@ -139,10 +137,11 @@ def test_orientable_bouquets_have_even_genus():
 
 
 def test_tracing_matches_interlacement_exhaustive_small():
-    for e in range(1, 4):
+    for e in range(1, 5):
         for rot in all_signed_rotations(e):
             traced = delta_matroid_of_bouquet(rot)
             assert traced == delta_matroid_of_matrix(interlacement_matrix(rot))
+            assert partial_duality_polynomial(rot) == twist_polynomial_fast(traced)
 
 
 def test_equal_interlacement_gives_equal_polynomial():

@@ -41,8 +41,10 @@ def test_twist(tmp_path, capsys):
 
 
 def test_twist_bad_set(tmp_path, capsys):
-    assert run(["twist", _write(tmp_path, "d.dm", PAIR_DM), "--set", "7"]) == 2
-    assert "error" in capsys.readouterr().err
+    path = _write(tmp_path, "d.dm", PAIR_DM)
+    for elems in ("7", "0,0"):
+        assert run(["twist", path, "--set", elems]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_twist_poly_modes(tmp_path, capsys):
@@ -125,6 +127,15 @@ def test_verify_suite(capsys):
     assert run(["verify", "--suite", "lemma4", "--max-n", "6"]) == 0
     out = capsys.readouterr().out
     assert "THEOREM lemma4 PASS checked=6 seed=-" in out
+
+
+def test_verify_sweep_that_checks_nothing(capsys):
+    assert run(["verify", "--suite", "lemma4", "--max-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert run(["verify", "--suite", "lemma4", "--max-n", "0"]) == 1
+    assert "THEOREM lemma4 FAIL checked=0 seed=-" in capsys.readouterr().out
 
 
 def test_verify_seed_recorded(capsys):

@@ -228,10 +228,10 @@ def test_is_connected_rejects_oversize():
         is_connected(big)
 
 
-def test_strict_validation_flag(monkeypatch):
-    monkeypatch.setattr(core, "strict_validation", True)
+def test_twist_and_min_max_parts_keep_the_axiom():
     d = random_delta_matroid(5, Random(1))
     assert is_delta_matroid(twist(d, 3))
+    assert all(is_delta_matroid(part) for part in min_max_parts(d))
 
 
 DM_TEXT = """2

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from twistpoly import core
+from twistpoly import core, gf2
 from twistpoly.core import SetSystem, is_connected, is_delta_matroid, predicates
 from twistpoly.gf2 import (
     IntersectionGraph,
@@ -91,12 +91,11 @@ def test_round_trip_exhaustive():
             assert matrix_of_normal(delta_matroid_of_matrix(c)) == c
 
 
-def test_matrix_delta_matroids_are_normal_delta_matroids(monkeypatch):
-    monkeypatch.setattr(core, "strict_validation", True)
+def test_matrix_delta_matroids_are_normal_delta_matroids():
     for n in range(5):
         for c in all_symmetric_matrices(n):
-            d = delta_matroid_of_matrix(c)  # validated under the flag
-            assert d.feasible[0] == 0
+            d = delta_matroid_of_matrix(c)
+            assert d.feasible[0] == 0 and is_delta_matroid(d)
 
 
 def test_evenness_iff_zero_diagonal():
@@ -123,6 +122,19 @@ def _connected_by_bipartition_search(d: SetSystem) -> bool:
             if {a | b for a in p1 for b in p2} == fam:
                 return False
     return True
+
+
+def test_is_connected_builds_dc_once(monkeypatch):
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return delta_matroid_of_matrix(c)
+
+    d = delta_matroid_of_matrix(complete_graph_matrix(5))
+    monkeypatch.setattr(gf2, "delta_matroid_of_matrix", counting)
+    assert is_connected(d)
+    assert len(calls) == 1
 
 
 def test_connectivity_matches_graph_and_bipartition_search():
@@ -173,8 +185,16 @@ def test_graph_predicates():
 def test_two_coloring():
     x, y = two_coloring(IntersectionGraph(PATH3))
     assert x | y == 0b111 and x & y == 0
+    assert (x, y) == graph_predicates(IntersectionGraph(PATH3)).coloring
     assert two_coloring(IntersectionGraph(complete_graph_matrix(3))) is None
     assert two_coloring(IntersectionGraph(SymMatrixGF2(1, (1,)))) is None
+    assert two_coloring(IntersectionGraph(SymMatrixGF2.zeros(0))) == (0, 0)
+    # every edge of a bipartite graph crosses the coloring
+    for c in all_simple_graph_matrices(5):
+        coloring = graph_predicates(IntersectionGraph(c)).coloring
+        if coloring is not None:
+            x, y = coloring
+            assert all(c.rows[v] & (x if (x >> v) & 1 else y) == 0 for v in range(5))
 
 
 GF2_TEXT = """3

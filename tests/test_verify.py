@@ -6,11 +6,11 @@ from random import Random
 
 import pytest
 
+from twistpoly import verify
 from twistpoly.core import SetSystem, direct_sum, is_delta_matroid, twist
 from twistpoly.gf2 import delta_matroid_of_matrix
 from twistpoly.poly import twist_polynomial_fast
 from twistpoly.verify import (
-    InstanceFamily,
     VerificationReport,
     all_delta_matroids,
     all_set_systems,
@@ -96,17 +96,17 @@ def test_rotation_family_counts():
     assert sum(1 for _ in all_signed_rotations(4)) == 1680
 
 
-def test_family_dispatch():
-    fam = InstanceFamily("all-delta-matroids", 2)
-    assert sum(1 for _ in fam.instances()) == 15
-    assert [m.n for m in InstanceFamily("complete-K", 3).instances()] == [1, 2, 3]
-    assert [b.e for b in InstanceFamily("canonical-B", 4).instances()] == [1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        InstanceFamily("nonsense", 2)
-    with pytest.raises(ValueError):
-        InstanceFamily("all-set-systems", 9)
-    with pytest.raises(ValueError):
-        list(all_set_systems(5))
+def test_family_bounds():
+    # the bounds turn an oversized --max-n into a ValueError (exit 2)
+    for family, bound in [
+        (all_set_systems, 4),
+        (all_delta_matroids, 4),
+        (all_symmetric_matrices, 6),
+        (all_simple_graph_matrices, 6),
+        (all_signed_rotations, 5),
+    ]:
+        with pytest.raises(ValueError):
+            next(family(bound + 1))
 
 
 def test_closed_form():
@@ -134,7 +134,7 @@ def test_report_lines():
     assert rep.machine_line() == "THEOREM demo FAIL checked=5 seed=3"
     assert "bad instance" in rep.render()
     blank = VerificationReport("x")
-    assert blank.machine_line().endswith("seed=-")
+    assert blank.machine_line() == "THEOREM x FAIL checked=0 seed=-"
 
 
 def test_report_counterexample_cap():
@@ -173,6 +173,21 @@ def test_run_suite():
     assert reports[0].checked == 5
     with pytest.raises(ValueError):
         run_suite("nonsense")
+    with pytest.raises(ValueError):
+        run_suite("lemma4", max_n=-1)
+    empty = run_suite("lemma4", max_n=0)[0]
+    assert empty.checked == 0 and not empty.passed
+
+
+def test_interlacement_oracle_reports_non_delta_matroid(monkeypatch):
+    bad = SetSystem.from_sets(3, [[], [0, 1, 2]])
+    assert not is_delta_matroid(bad)
+    monkeypatch.setattr(verify, "delta_matroid_of_bouquet", lambda rot: bad)
+    monkeypatch.setattr(verify, "delta_matroid_of_matrix", lambda c: bad)
+    rep = check_interlacement_oracle(2, trials=0)
+    assert rep.checked == 14 and not rep.passed
+    assert "counterexample: rotation 1 1: " in rep.render()
+    assert "is not a delta-matroid" in rep.render()
 
 
 def test_run_suite_all_small():
