@@ -22,8 +22,8 @@ from .core import (
     ParseError,
     format_dm,
     is_delta_matroid,
-    iter_elements,
     loops_coloops,
+    masks_text,
     parse_dm,
     predicates,
     twist,
@@ -45,10 +45,6 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-
-
-def _mask_text(mask: int) -> str:
-    return ",".join(str(e) for e in iter_elements(mask)) if mask else "-"
 
 
 def _parse_index_set(text: str, n: int) -> int:
@@ -86,8 +82,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(f"matroid: {_yesno(p.is_matroid)}")
     print(f"width: {width(d)}")
     loops, coloops = loops_coloops(d)
-    print(f"loops: {_mask_text(loops)}")
-    print(f"coloops: {_mask_text(coloops)}")
+    loops_text, coloops_text = masks_text([loops, coloops])
+    print(f"loops: {loops_text}")
+    print(f"coloops: {coloops_text}")
     return 0
 
 

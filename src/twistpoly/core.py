@@ -344,8 +344,30 @@ def parse_dm(text: str) -> SetSystem:
     return SetSystem(n, tuple(sorted(masks)))
 
 
+def masks_text(masks: Iterable[int]) -> list[str]:
+    """The .dm text of each mask: ascending element indices joined by
+    commas, "-" for the empty set.
+
+    A mask is read a byte at a time through ``int.to_bytes``, so the cost
+    is linear in its length, and the text of each (byte position, byte
+    value) is built once per call and shared by all the masks.
+    """
+    memo: dict[int, str] = {}
+    out = []
+    for m in masks:
+        parts = []
+        for pos, byte in enumerate(m.to_bytes((m.bit_length() + 7) >> 3, "little")):
+            if byte:
+                key = pos << 8 | byte
+                text = memo.get(key)
+                if text is None:
+                    base = pos << 3
+                    text = ",".join(str(base + j) for j in range(8) if byte >> j & 1)
+                    memo[key] = text
+                parts.append(text)
+        out.append(",".join(parts) or "-")
+    return out
+
+
 def format_dm(s: SetSystem) -> str:
-    lines = [str(s.n), str(len(s.feasible))]
-    for m in s.feasible:
-        lines.append(",".join(str(e) for e in iter_elements(m)) if m else "-")
-    return "\n".join(lines) + "\n"
+    return "\n".join([str(s.n), str(len(s.feasible)), *masks_text(s.feasible)]) + "\n"

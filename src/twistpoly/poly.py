@@ -3,14 +3,17 @@
 The twist polynomial counts the 2^n twists of a delta-matroid by width.
 Two independent evaluation routes are kept side by side: a naive one that
 scores every twist straight from the definition, and a fast one that reads
-all 2^n widths off two multi-source BFS sweeps of the subset hypercube.
+all 2^n widths off the Hamming distances of the subsets from the feasible
+family.  The fast route has two kernels for those distances: below
+``SWEEP_MIN_N`` a multi-source BFS of the subset hypercube
+(``_hamming_distances``), which is also the sweep's oracle, and from there
+on a numpy min-sweep with one pass per coordinate (``_min_sweep``).
+numpy is imported only by the kernels that use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import SetSystem, check_enum_size
 
@@ -108,6 +111,8 @@ def twist_polynomial_naive(d: SetSystem) -> WidthPolynomial:
     broadcast popcount table over (subset, feasible) pairs, in chunks to
     bound memory.
     """
+    import numpy as np
+
     check_enum_size(d.n)
     size = 1 << d.n
     feas = np.asarray(d.feasible, dtype=np.uint32)
@@ -143,19 +148,47 @@ def _hamming_distances(n: int, sources: list[int]) -> bytearray:
     return dist
 
 
-def twist_polynomial_fast(d: SetSystem) -> WidthPolynomial:
-    """Twist polynomial in O(2^n · n) via two hypercube BFS sweeps.
+# The numpy sweep wins from n = 8 on; below that numpy's fixed cost per
+# call exceeds the BFS.
+SWEEP_MIN_N = 8
 
-    min_F |A△F| is the BFS distance of A from the feasible sets; the max
-    is n minus the distance from their complements, since complementing
-    one side of a symmetric difference flips |A△F| to n - |A△F|.
+
+def _min_sweep(n: int, sources: list[int]):
+    """Distances of every subset from ``sources`` (nonempty) on the n-cube,
+    as a uint8 numpy array: d = min(d, d[x ^ bit] + 1), one pass per bit."""
+    import numpy as np
+
+    dist = np.full(1 << n, n + 1, dtype=np.uint8)  # above every distance
+    dist[sources] = 0
+    for i in range(n):
+        pairs = dist.reshape(-1, 2, 1 << i)  # x without, with bit i
+        without, with_ = pairs[:, 0], pairs[:, 1]
+        stepped = without + 1
+        np.minimum(without, with_ + 1, out=without)
+        np.minimum(with_, stepped, out=with_)
+    return dist
+
+
+def twist_polynomial_fast(d: SetSystem) -> WidthPolynomial:
+    """Twist polynomial in O(2^n · n) from one Hamming-distance sweep.
+
+    min_F |A△F| is the distance of A from the feasible sets.  The max is
+    n minus the distance of E - A from them, since complementing one side
+    of a symmetric difference flips |A△F| to n - |A△F|; and E - A is
+    subset 2^n - 1 - A, so those distances are the sweep read backwards.
     """
     check_enum_size(d.n)
+    if not d.feasible:
+        raise ValueError("the twist polynomial needs a nonempty feasible family")
     n = d.n
-    full = d.full_mask
-    dmin = _hamming_distances(n, list(d.feasible))
-    dmax_c = _hamming_distances(n, [full ^ f for f in d.feasible])
-    counts = [0] * (n + 1)
-    for a in range(1 << n):
-        counts[n - dmax_c[a] - dmin[a]] += 1
+    if n >= SWEEP_MIN_N:
+        import numpy as np
+
+        dmin = _min_sweep(n, list(d.feasible))
+        counts = np.bincount(n - dmin[::-1] - dmin, minlength=n + 1).tolist()
+    else:
+        dmin = _hamming_distances(n, list(d.feasible))
+        counts = [0] * (n + 1)
+        for near, far in zip(dmin, reversed(dmin)):
+            counts[n - far - near] += 1
     return WidthPolynomial.from_counts(counts)

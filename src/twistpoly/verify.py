@@ -444,7 +444,7 @@ def check_interlacement_oracle(
     for e in range(1, e_exhaustive + 1):
         for rot in all_signed_rotations(e):
             verify(rot, True)
-    if trials:
+    if trials and e_max >= 1:
         rng = Random(seed)
         for _ in range(trials):
             verify(random_signed_rotation(rng.randint(1, e_max), rng), False)

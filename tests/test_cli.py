@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
 from twistpoly.cli import run
@@ -141,3 +146,25 @@ def test_verify_sweep_that_checks_nothing(capsys):
 def test_verify_seed_recorded(capsys):
     assert run(["verify", "--suite", "monomial", "--max-n", "3", "--seed", "9"]) == 0
     assert "seed=9" in capsys.readouterr().out
+
+
+def test_verify_interlacement_at_max_n_zero(capsys):
+    assert run(["verify", "--suite", "interlacement", "--max-n", "0"]) == 1
+    assert "THEOREM interlacement-oracle FAIL checked=0 seed=0" in capsys.readouterr().out
+
+
+def test_check_single_empty_set_on_a_large_ground_set(tmp_path, capsys):
+    n = 200_000
+    path = _write(tmp_path, "big.dm", f"{n}\n1\n-\n")
+    start = time.perf_counter()
+    assert run(["check", path]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert f"loops: {','.join(map(str, range(n)))}\n" in out
+    assert "coloops: -\n" in out
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, twistpoly.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -265,3 +265,17 @@ def test_parse_format_roundtrip():
 def test_parse_dm_rejects(text):
     with pytest.raises(core.ParseError):
         parse_dm(text)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 40])
+def test_format_dm_matches_element_text_and_round_trips(n):
+    rng = Random(n)
+    full = (1 << n) - 1
+    masks = {0, full, *(rng.getrandbits(n) for _ in range(50))}
+    masks |= {1 << e for e in range(n)}
+    d = SetSystem.from_masks(n, masks)
+    lines = [",".join(str(e) for e in core.iter_elements(m)) or "-" for m in d.feasible]
+    text = format_dm(d)
+    assert text == "\n".join([str(n), str(len(d.feasible)), *lines]) + "\n"
+    assert parse_dm(text) == d
+

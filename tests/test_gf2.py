@@ -244,3 +244,33 @@ def test_parse_format_graph():
 def test_parse_graph_rejects(text):
     with pytest.raises(core.ParseError):
         parse_graph(text)
+
+
+def test_batched_dc_matches_loop_on_all_small_matrices():
+    for n in range(5):
+        for c in all_symmetric_matrices(n):
+            assert gf2._dc_batched(c.rows, n) == gf2._dc_loop(c.rows, n), c
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_batched_dc_matches_loop_on_random_matrices(n):
+    rng = Random(n)
+    for zero_diagonal in (False, True):
+        c = random_symmetric_matrix(n, rng, zero_diagonal)
+        assert gf2._dc_batched(c.rows, n) == gf2._dc_loop(c.rows, n)
+
+
+def test_batched_dc_on_k16():
+    # det over GF(2) of J - I of order k is k - 1 mod 2: the even sets
+    expected = [a for a in range(1 << 16) if a.bit_count() % 2 == 0]
+    assert gf2._dc_batched(complete_graph_matrix(16).rows, 16) == expected
+
+
+@pytest.mark.parametrize("n", [gf2.BATCHED_DC_MIN_N - 1, gf2.BATCHED_DC_MIN_N])
+def test_dc_kernels_agree_at_the_threshold(n):
+    rng = Random(100 + n)
+    for _ in range(3):
+        c = random_symmetric_matrix(n, rng)
+        fam = gf2._dc_loop(c.rows, n)
+        assert gf2._dc_batched(c.rows, n) == fam
+        assert delta_matroid_of_matrix(c).feasible == tuple(fam)

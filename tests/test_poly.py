@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from twistpoly import poly
 from twistpoly.core import SetSystem, TRIVIAL, UnsupportedSizeError, restrict, twist
 from twistpoly.poly import (
     WidthPolynomial,
@@ -182,3 +183,33 @@ def test_non_normal_counterexample():
     lhs = twist_width(REMARK, 0b01)
     rhs = width(restrict(REMARK, 0b01)) + width(restrict(REMARK, 0b10))
     assert lhs == 2 and rhs == 0 and lhs != rhs
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_min_sweep_matches_bfs(n):
+    full = (1 << n) - 1
+    rng = Random(n)
+    cases = [[0], [full], [0, full], list(range(1 << n))]
+    cases.append(sorted(rng.sample(range(1 << n), min(5, 1 << n))))
+    for sources in cases:
+        assert bytes(poly._min_sweep(n, sources)) == bytes(
+            poly._hamming_distances(n, sources)
+        ), (n, sources)
+
+
+@pytest.mark.parametrize("n", [poly.SWEEP_MIN_N - 1, poly.SWEEP_MIN_N])
+def test_fast_kernels_agree_at_the_threshold(n):
+    rng = Random(200 + n)
+    for _ in range(3):
+        d = random_delta_matroid(n, rng)
+        assert bytes(poly._min_sweep(n, list(d.feasible))) == bytes(
+            poly._hamming_distances(n, list(d.feasible))
+        )
+        assert twist_polynomial_fast(d) == twist_polynomial_naive(d)
+
+
+def test_fast_rejects_an_empty_family():
+    with pytest.raises(ValueError):
+        twist_polynomial_fast(SetSystem(3, ()))
+    with pytest.raises(ValueError):
+        twist_polynomial_fast(SetSystem(9, ()))
