@@ -16,8 +16,8 @@ import re
 from dataclasses import dataclass
 
 from .core import MAX_ENUM_GROUND, ParseError, SetSystem, UnsupportedSizeError
-from .gf2 import SymMatrixGF2, delta_matroid_of_matrix
-from .poly import WidthPolynomial, twist_polynomial_fast
+from .gf2 import SymMatrixGF2, dc_bits
+from .poly import WidthPolynomial, twist_polynomial_of_bits
 
 _TOKEN = re.compile(r"-?\d+")
 
@@ -231,10 +231,11 @@ def partial_duality_polynomial(b: SignedRotation) -> WidthPolynomial:
     """Generating function of all partial duals of the bouquet by Euler
     genus, computed as the twist polynomial of its delta-matroid.
 
-    The quasi-tree delta-matroid is taken as D(interlacement matrix);
+    The quasi-tree delta-matroid is taken as D(interlacement matrix), as
+    a bitset, so the cost does not depend on the number of quasi-trees;
     delta_matroid_of_bouquet traces the same family and is its oracle.
     """
-    return twist_polynomial_fast(delta_matroid_of_matrix(interlacement_matrix(b)))
+    return twist_polynomial_of_bits(dc_bits(interlacement_matrix(b)), b.e)
 
 
 def edge_table(b: SignedRotation) -> list[tuple[int, int, int, bool]]:

@@ -142,11 +142,7 @@ def _cmd_from_bouquet(args: argparse.Namespace) -> int:
 
 def _cmd_intersection_graph(args: argparse.Namespace) -> int:
     d = parse_dm(_read(args.file))
-    try:
-        g = intersection_graph(d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = intersection_graph(d)  # not normal binary: ValueError, exit 2 in run
     sys.stdout.write(format_graph(g))
     props = graph_predicates(g)
     print(f"bipartite: {_yesno(props.is_bipartite)}")

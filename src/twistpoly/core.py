@@ -17,6 +17,9 @@ from typing import Iterable, Iterator, NamedTuple
 # ground sets.  Structural operations (twist, direct sum, ...) have no such
 # limit.
 MAX_ENUM_GROUND = 16
+# Parsers refuse larger ground sets: a size costs memory before any set is
+# read (one bit per element in every mask, one row per vertex).
+MAX_GROUND = 1_000_000
 
 class UnsupportedSizeError(ValueError):
     """Raised when a 2^n enumeration would exceed the supported envelope."""
@@ -47,6 +50,16 @@ def iter_elements(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def tile_bits(block: int, period: int, size: int) -> int:
+    """``block`` (below 2^period) repeated every ``period`` bits over ``size``
+    bits.  Where bit A stands for subset A, the subsets without element d
+    are the low halves of periods of 2^(d+1): the kernels' masks are tiles."""
+    while period < size:
+        block |= block << period
+        period <<= 1
+    return block
 
 
 @dataclass(frozen=True)
@@ -316,6 +329,8 @@ def parse_dm(text: str) -> SetSystem:
         raise ParseError(f"malformed header: {lines[0]!r} / {lines[1]!r}") from None
     if n < 0:
         raise ParseError("ground set size must be nonnegative")
+    if n > MAX_GROUND:
+        raise ParseError(f"ground set size {n} exceeds the limit of {MAX_GROUND}")
     if k <= 0:
         raise ParseError("feasible family must be nonempty (k >= 1)")
     if len(lines) != 2 + k:

@@ -6,19 +6,19 @@ Conversely the matrix (and hence the intersection graph) of a normal
 binary delta-matroid is reconstructed from its feasible sets of size one
 and two.  Matrices are stored as tuples of row bitmasks.
 
-D(C) has two kernels.  Below ``BATCHED_DC_MIN_N`` it runs ``_rank``, the
-one GF(2) elimination, once per subset; that loop is also the oracle.
-From there on ``_dc_batched`` eliminates every principal submatrix at
-once in numpy, where the fixed cost per array operation no longer
-dominates.
+D(C) has one kernel, ``dc_bits``, which evaluates the determinant of
+every principal submatrix at once as the bits of one 2^n-bit int.
+``_dc_loop`` runs ``_rank``, the one GF(2) elimination, once per subset
+and is kept as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
-from .core import ParseError, SetSystem, check_enum_size
+from .core import MAX_GROUND, ParseError, SetSystem, check_enum_size, iter_elements, tile_bits
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,9 @@ class SymMatrixGF2:
         for i, r in enumerate(self.rows):
             if not 0 <= r < top:
                 raise ValueError(f"row {i} has bits outside the matrix")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.rows[i] >> j) & 1 != (self.rows[j] >> i) & 1:
-                    raise ValueError(f"matrix not symmetric at ({i}, {j})")
+            for j in iter_elements(r):  # set bits only: O(n + entries)
+                if not (self.rows[j] >> i) & 1:
+                    raise ValueError(f"matrix not symmetric at {min(i, j), max(i, j)}")
 
     @classmethod
     def zeros(cls, n: int) -> "SymMatrixGF2":
@@ -102,54 +101,53 @@ def gf2_rank(c: SymMatrixGF2, a: int) -> int:
     return _rank(c.rows, a, False)
 
 
-# The batched kernel wins from n = 10 on; below that numpy's fixed cost
-# per call exceeds the per-subset loop.
-BATCHED_DC_MIN_N = 10
-# Subsets eliminated together; bounds the kernel's temporaries.
-_DC_BLOCK = 1 << 14
-
-
 def _dc_loop(rows: tuple[int, ...], n: int) -> list[int]:
-    """Feasible sets of D(C), one ``_rank`` elimination per subset."""
+    """Feasible sets of D(C), one ``_rank`` elimination per subset; the
+    oracle of ``dc_bits``."""
     return [a for a in range(1 << n) if _rank(rows, a, True) == a.bit_count()]
 
 
-def _dc_batched(rows: tuple[int, ...], n: int) -> list[int]:
-    """Feasible sets of D(C) by one GF(2) elimination over a block of
-    subsets at a time, n <= 16.
+def dc_bits(matrix: SymMatrixGF2) -> int:
+    """D(C) as a 2^n-bit int: bit A is set iff det C[A] = 1, all at once.
 
-    Row i of subset A is ``rows[i] & A`` if i is in A and the unit vector
-    ``1 << i`` otherwise, so A's matrix is C[A] plus an identity block and
-    is nonsingular iff C[A] is.  A unit vector always takes its own pivot
-    and never meets a row of C[A], so it is left out: each subset keeps a
-    uint16 basis indexed by leading bit, and A is feasible iff all |A| of
-    its rows insert.
+    Expanding along d = min A, with S_ij = C_ij ⊕ C_di·C_dj (the Schur
+    complement of C_dd, taken as 1),
+
+        det C[A] = det S[A - d] ⊕ [C_dd = 0]·det C[A - d].
+
+    A node of this recursion is fixed by the set T of the elements it took
+    through S, so each matrix entry is an int whose bit ("lane") T holds
+    that node's entry; element d doubles the lanes, lane T + d getting S
+    of lane T.  Going back up, bit X of ``p`` is the determinant that is
+    left once X ∩ [0, d) is read as T and X ∩ [d, n) as what remains of A:
+    1 for empty matrices, then element d adds the C-branch of X to X + d
+    wherever lane X ∩ [0, d) has C_dd = 0.
     """
-    import numpy as np
-
+    check_enum_size(matrix.n)
+    n = matrix.n
+    c = [[(r >> j) & 1 for j in range(n)] for r in matrix.rows]
     size = 1 << n
-    fam: list[int] = []
-    for lo in range(0, size, _DC_BLOCK):
-        a = np.arange(lo, min(lo + _DC_BLOCK, size), dtype=np.uint32).astype(np.uint16)
-        basis = np.zeros((n, len(a)), dtype=np.uint16)
-        for i, row in enumerate(rows):
-            v = a & row & -((a >> i) & 1)
-            for t in range(row.bit_length() - 1, -1, -1):
-                b = basis[t]
-                hit = -((v >> t) & 1)  # 0xFFFF where bit t of v is set
-                b |= v & ((b == 0) * hit)  # free pivot: the row inserts
-                v ^= b & hit
-        rank = np.count_nonzero(basis, axis=0)
-        fam.extend((np.flatnonzero(rank == np.bitwise_count(a)) + lo).tolist())
-    return fam
+    zero_pivot = []  # bit X set iff d not in X and C_dd = 0 in lane X ∩ [0, d)
+    for d in range(n):
+        w = 1 << d
+        cd = c[d]
+        zero_pivot.append(tile_bits(~cd[d] & ((1 << w) - 1), 2 * w, size))
+        for i in range(d + 1, n):
+            ci, cdi = c[i], cd[i]
+            for j in range(i, n):  # upper triangle; c[i][j] is C_ij for i <= j
+                v = ci[j]
+                ci[j] = v | (v ^ (cdi & cd[j])) << w
+    p = (1 << size) - 1
+    for d in range(n - 1, -1, -1):
+        p ^= (p & zero_pivot[d]) << (1 << d)
+    return p
 
 
 def delta_matroid_of_matrix(c: SymMatrixGF2) -> SetSystem:
     """D(C): feasible sets are the A with C[A] nonsingular (C[∅] is
     nonsingular by convention); always normal."""
-    check_enum_size(c.n)
-    kernel = _dc_batched if c.n >= BATCHED_DC_MIN_N else _dc_loop
-    return SetSystem(c.n, tuple(kernel(c.rows, c.n)))
+    flags = format(dc_bits(c), "b")[::-1].encode().replace(b"0", b"\0")
+    return SetSystem(c.n, tuple(compress(range(1 << c.n), flags)))
 
 
 def matrix_of_normal(d: SetSystem) -> SymMatrixGF2:
@@ -320,6 +318,8 @@ def parse_graph(text: str) -> IntersectionGraph:
         raise ParseError(f"malformed vertex-count line {lines[0]!r}") from None
     if n < 0:
         raise ParseError("vertex count must be nonnegative")
+    if n > MAX_GROUND:
+        raise ParseError(f"vertex count {n} exceeds the limit of {MAX_GROUND}")
     rows = [0] * n
     for ln in lines[1:]:
         parts = ln.split()

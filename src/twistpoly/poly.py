@@ -4,18 +4,16 @@ The twist polynomial counts the 2^n twists of a delta-matroid by width.
 Two independent evaluation routes are kept side by side: a naive one that
 scores every twist straight from the definition, and a fast one that reads
 all 2^n widths off the Hamming distances of the subsets from the feasible
-family.  The fast route has two kernels for those distances: below
-``SWEEP_MIN_N`` a multi-source BFS of the subset hypercube
-(``_hamming_distances``), which is also the sweep's oracle, and from there
-on a numpy min-sweep with one pass per coordinate (``_min_sweep``).
-numpy is imported only by the kernels that use it.
+family.  The fast route finds those distances with one level-set BFS of
+the subset hypercube, held as 2^n-bit ints in which bit A stands for
+subset A.  Only the naive route imports numpy, and only when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SetSystem, check_enum_size
+from .core import SetSystem, check_enum_size, tile_bits
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,11 @@ def twist_polynomial_naive(d: SetSystem) -> WidthPolynomial:
     broadcast popcount table over (subset, feasible) pairs, in chunks to
     bound memory.
     """
+    check_enum_size(d.n)
+    if not d.feasible:
+        raise ValueError("the twist polynomial needs a nonempty feasible family")
     import numpy as np
 
-    check_enum_size(d.n)
     size = 1 << d.n
     feas = np.asarray(d.feasible, dtype=np.uint32)
     counts = np.zeros(d.n + 1, dtype=np.int64)
@@ -125,70 +125,57 @@ def twist_polynomial_naive(d: SetSystem) -> WidthPolynomial:
     return WidthPolynomial.from_counts(counts.tolist())
 
 
-def _hamming_distances(n: int, sources: list[int]) -> bytearray:
-    """Multi-source BFS distances on the n-cube, one byte per subset."""
-    dist = bytearray(b"\xff") * (1 << n)
-    frontier = []
-    for s in sources:
-        if dist[s]:
-            dist[s] = 0
-            frontier.append(s)
-    bits = [1 << i for i in range(n)]
-    level = 0
-    while frontier:
-        level += 1
-        nxt = []
-        for x in frontier:
-            for b in bits:
-                y = x ^ b
-                if dist[y] == 0xFF:
-                    dist[y] = level
-                    nxt.append(y)
-        frontier = nxt
-    return dist
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-# The numpy sweep wins from n = 8 on; below that numpy's fixed cost per
-# call exceeds the BFS.
-SWEEP_MIN_N = 8
-
-
-def _min_sweep(n: int, sources: list[int]):
-    """Distances of every subset from ``sources`` (nonempty) on the n-cube,
-    as a uint8 numpy array: d = min(d, d[x ^ bit] + 1), one pass per bit."""
-    import numpy as np
-
-    dist = np.full(1 << n, n + 1, dtype=np.uint8)  # above every distance
-    dist[sources] = 0
-    for i in range(n):
-        pairs = dist.reshape(-1, 2, 1 << i)  # x without, with bit i
-        without, with_ = pairs[:, 0], pairs[:, 1]
-        stepped = without + 1
-        np.minimum(without, with_ + 1, out=without)
-        np.minimum(with_, stepped, out=with_)
-    return dist
+def _reversed_bits(x: int, size: int) -> int:
+    """Bit A of ``x`` moved to bit size - 1 - A, a byte at a time."""
+    nbytes = (size + 7) >> 3
+    rev = int.from_bytes(x.to_bytes(nbytes, "little").translate(_REVERSED_BYTE), "big")
+    return rev >> ((nbytes << 3) - size)
 
 
 def twist_polynomial_fast(d: SetSystem) -> WidthPolynomial:
-    """Twist polynomial in O(2^n · n) from one Hamming-distance sweep.
-
-    min_F |A△F| is the distance of A from the feasible sets.  The max is
-    n minus the distance of E - A from them, since complementing one side
-    of a symmetric difference flips |A△F| to n - |A△F|; and E - A is
-    subset 2^n - 1 - A, so those distances are the sweep read backwards.
-    """
+    """Twist polynomial of ``d`` by ``twist_polynomial_of_bits``."""
     check_enum_size(d.n)
-    if not d.feasible:
-        raise ValueError("the twist polynomial needs a nonempty feasible family")
-    n = d.n
-    if n >= SWEEP_MIN_N:
-        import numpy as np
+    digits = bytearray(b"0") * (1 << d.n)  # digit A is "1" (49) iff A is feasible
+    for f in d.feasible:
+        digits[f] = 49
+    return twist_polynomial_of_bits(int(digits[::-1], 2), d.n)
 
-        dmin = _min_sweep(n, list(d.feasible))
-        counts = np.bincount(n - dmin[::-1] - dmin, minlength=n + 1).tolist()
-    else:
-        dmin = _hamming_distances(n, list(d.feasible))
-        counts = [0] * (n + 1)
-        for near, far in zip(dmin, reversed(dmin)):
-            counts[n - far - near] += 1
+
+def twist_polynomial_of_bits(feasible: int, n: int) -> WidthPolynomial:
+    """Twist polynomial of the family whose sets are the set bits of
+    ``feasible``, a 2^n-bit int in which bit A stands for subset A.
+
+    min_F |A△F| is the distance of A from the feasible sets: the level of
+    the multi-source BFS of the n-cube that reaches A.  A level is a
+    bitset of subsets, and the next one is it moved across every
+    coordinate i (bit A to bit A ^ 2^i, one masked shift each way) minus
+    what was reached before.  The max is n minus the distance of E - A,
+    since complementing one side of a symmetric difference flips |A△F| to
+    n - |A△F|; and E - A is subset 2^n - 1 - A, so those distances are the
+    levels read backwards.  A twist of width w lies in level j and in
+    reversed level k with j + k = n - w.
+    """
+    check_enum_size(n)
+    if not feasible:
+        raise ValueError("the twist polynomial needs a nonempty feasible family")
+    size = 1 << n
+    level = reached = feasible
+    # (2^i, the subsets without i): the low half of every period of 2^(i+1)
+    moves = [(1 << i, tile_bits((1 << (1 << i)) - 1, 2 << i, size)) for i in range(n)]
+    levels = []
+    while level:
+        levels.append(level)
+        grown = 0
+        for w, without_i in moves:
+            grown |= (level & without_i) << w | (level >> w) & without_i
+        level = grown & ~reached
+        reached |= level
+    far = [_reversed_bits(x, size) for x in levels]
+    counts = [0] * (n + 1)
+    for j, near in enumerate(levels):
+        for k, rev in enumerate(far[: n + 1 - j]):
+            counts[n - j - k] += (near & rev).bit_count()
     return WidthPolynomial.from_counts(counts)

@@ -10,7 +10,14 @@ import time
 import pytest
 
 from twistpoly.cli import run
-from twistpoly.verify import all_symmetric_matrices
+from twistpoly.core import format_dm
+from twistpoly.gf2 import (
+    IntersectionGraph,
+    delta_matroid_of_matrix,
+    format_gf2,
+    format_graph,
+)
+from twistpoly.verify import all_symmetric_matrices, complete_graph_matrix
 
 PAIR_DM = "2\n2\n-\n0,1\n"
 REMARK_DM = "2\n2\n0\n1\n"
@@ -164,7 +171,70 @@ def test_check_single_empty_set_on_a_large_ground_set(tmp_path, capsys):
     assert "coloops: -\n" in out
 
 
+def _python(args, **kwargs):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
 def test_cli_import_does_not_load_numpy():
     code = "import sys, twistpoly.cli; sys.exit('numpy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _python(["-c", code]).returncode == 0
+
+
+def test_query_commands_do_not_load_numpy(tmp_path):
+    k10 = complete_graph_matrix(10)
+    rotation = " ".join(map(str, [*range(1, 11), *range(1, 11)]))
+    gf2_path = _write(tmp_path, "k10.gf2", format_gf2(k10))
+    graph_path = _write(tmp_path, "k10.graph", format_graph(IntersectionGraph(k10)))
+    dm_path = _write(tmp_path, "k10.dm", format_dm(delta_matroid_of_matrix(k10)))
+    commands = [
+        ["from-matrix", gf2_path],
+        ["from-graph", graph_path],
+        ["from-bouquet", rotation],
+        ["twist-poly", dm_path],
+        ["genus-poly", rotation],
+        ["intersection-graph", dm_path],
+        ["check", dm_path],
+    ]
+    code = (
+        "import sys\n"
+        "from twistpoly.cli import run\n"
+        f"codes = [run(argv) for argv in {commands!r}]\n"
+        "print('CODES', codes, 'numpy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(codes != [0] * len(codes) or 'numpy' in sys.modules)\n"
+    )
+    proc = _python(["-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _limit_address_space():
+    import resource
+
+    cap = 1_500_000_000
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("check", "100000000000\n1\n-\n"),
+        ("from-graph", "20000\n"),
+        ("from-graph", "100000000000\n"),
+    ],
+    ids=["check-n1e11", "from-graph-20000", "from-graph-1e11"],
+)
+def test_large_sizes_exit_2_under_a_memory_cap(tmp_path, command, text):
+    path = _write(tmp_path, "big.in", text)
+    start = time.perf_counter()
+    proc = _python(
+        ["-m", "twistpoly.cli", command, path],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert elapsed < 1.0

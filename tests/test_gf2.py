@@ -6,6 +6,8 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistpoly import core, gf2
 from twistpoly.core import SetSystem, is_connected, is_delta_matroid, predicates
@@ -246,31 +248,42 @@ def test_parse_graph_rejects(text):
         parse_graph(text)
 
 
+# D(C) is computed for all 2^n subsets in one batch of bit lanes
+# (gf2.dc_bits); gf2._dc_loop, one elimination per subset, is its oracle.
+
+
 def test_batched_dc_matches_loop_on_all_small_matrices():
     for n in range(5):
         for c in all_symmetric_matrices(n):
-            assert gf2._dc_batched(c.rows, n) == gf2._dc_loop(c.rows, n), c
+            assert delta_matroid_of_matrix(c).feasible == tuple(gf2._dc_loop(c.rows, n)), c
 
 
-@pytest.mark.parametrize("n", [11, 12, 13])
+@pytest.mark.parametrize("n", [7, 9, 10, 11, 12, 13])
 def test_batched_dc_matches_loop_on_random_matrices(n):
     rng = Random(n)
     for zero_diagonal in (False, True):
         c = random_symmetric_matrix(n, rng, zero_diagonal)
-        assert gf2._dc_batched(c.rows, n) == gf2._dc_loop(c.rows, n)
+        assert delta_matroid_of_matrix(c).feasible == tuple(gf2._dc_loop(c.rows, n))
 
 
 def test_batched_dc_on_k16():
     # det over GF(2) of J - I of order k is k - 1 mod 2: the even sets
-    expected = [a for a in range(1 << 16) if a.bit_count() % 2 == 0]
-    assert gf2._dc_batched(complete_graph_matrix(16).rows, 16) == expected
+    expected = tuple(a for a in range(1 << 16) if a.bit_count() % 2 == 0)
+    assert delta_matroid_of_matrix(complete_graph_matrix(16)).feasible == expected
 
 
-@pytest.mark.parametrize("n", [gf2.BATCHED_DC_MIN_N - 1, gf2.BATCHED_DC_MIN_N])
-def test_dc_kernels_agree_at_the_threshold(n):
-    rng = Random(100 + n)
-    for _ in range(3):
-        c = random_symmetric_matrix(n, rng)
-        fam = gf2._dc_loop(c.rows, n)
-        assert gf2._dc_batched(c.rows, n) == fam
-        assert delta_matroid_of_matrix(c).feasible == tuple(fam)
+@st.composite
+def symmetric_matrices(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    upper = [draw(st.integers(0, (1 << (n - i)) - 1)) << i for i in range(n)]
+    rows = [
+        upper[i] | sum(((upper[j] >> i) & 1) << j for j in range(i))
+        for i in range(n)
+    ]
+    return SymMatrixGF2(n, tuple(rows))
+
+
+@settings(deadline=None)
+@given(symmetric_matrices(9))
+def test_batched_dc_matches_loop_on_drawn_matrices(c):
+    assert delta_matroid_of_matrix(c).feasible == tuple(gf2._dc_loop(c.rows, c.n))

@@ -5,8 +5,9 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twistpoly import poly
 from twistpoly.core import SetSystem, TRIVIAL, UnsupportedSizeError, restrict, twist
 from twistpoly.poly import (
     WidthPolynomial,
@@ -187,25 +188,39 @@ def test_non_normal_counterexample():
 
 @pytest.mark.parametrize("n", range(13))
 def test_min_sweep_matches_bfs(n):
+    """The naive route's min/max scan over the feasible sets agrees with
+    the fast route's level-set BFS on extreme and random families."""
     full = (1 << n) - 1
     rng = Random(n)
     cases = [[0], [full], [0, full], list(range(1 << n))]
     cases.append(sorted(rng.sample(range(1 << n), min(5, 1 << n))))
-    for sources in cases:
-        assert bytes(poly._min_sweep(n, sources)) == bytes(
-            poly._hamming_distances(n, sources)
-        ), (n, sources)
+    cases.append(list(random_delta_matroid(n, rng).feasible))
+    for fam in cases:
+        d = SetSystem.from_masks(n, fam)
+        assert twist_polynomial_fast(d) == twist_polynomial_naive(d), (n, fam)
 
 
-@pytest.mark.parametrize("n", [poly.SWEEP_MIN_N - 1, poly.SWEEP_MIN_N])
+@pytest.mark.parametrize("n", [7, 8])
 def test_fast_kernels_agree_at_the_threshold(n):
+    """Fast and naive routes agree on random delta-matroids at n = 7 and 8,
+    the sizes around which the fast route once switched distance kernels."""
     rng = Random(200 + n)
     for _ in range(3):
         d = random_delta_matroid(n, rng)
-        assert bytes(poly._min_sweep(n, list(d.feasible))) == bytes(
-            poly._hamming_distances(n, list(d.feasible))
-        )
         assert twist_polynomial_fast(d) == twist_polynomial_naive(d)
+
+
+@st.composite
+def set_systems(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    fam = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1))
+    return SetSystem.from_masks(n, fam)
+
+
+@settings(deadline=None)
+@given(set_systems(8))
+def test_fast_matches_naive_on_drawn_set_systems(d):
+    assert twist_polynomial_fast(d) == twist_polynomial_naive(d)
 
 
 def test_fast_rejects_an_empty_family():
@@ -213,3 +228,5 @@ def test_fast_rejects_an_empty_family():
         twist_polynomial_fast(SetSystem(3, ()))
     with pytest.raises(ValueError):
         twist_polynomial_fast(SetSystem(9, ()))
+    with pytest.raises(ValueError):
+        twist_polynomial_naive(SetSystem(3, ()))
