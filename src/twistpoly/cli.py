@@ -122,7 +122,7 @@ def _cmd_from_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_from_graph(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.file))
-    sys.stdout.write(format_dm(delta_matroid_of_matrix(g.adjacency)))
+    sys.stdout.write(format_dm(delta_matroid_of_matrix(g)))
     return 0
 
 

@@ -94,19 +94,8 @@ class SetSystem:
         return cls.from_masks(n, (mask_of(s) for s in sets))
 
     @property
-    def is_proper(self) -> bool:
-        return bool(self.feasible)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.n == 0
-
-    @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def feasible_sets(self) -> list[frozenset[int]]:
-        return [frozenset(iter_elements(m)) for m in self.feasible]
 
     def __str__(self) -> str:
         fam = ", ".join(
@@ -114,13 +103,6 @@ class SetSystem:
             for m in self.feasible
         )
         return f"({{0..{self.n - 1}}}, [{fam}])" if self.n else f"(∅, [{fam}])"
-
-
-# In signatures below, a DeltaMatroid is a SetSystem expected to satisfy
-# the exchange axiom; is_delta_matroid is the test.
-DeltaMatroid = SetSystem
-
-TRIVIAL = SetSystem(0, (0,))
 
 
 def is_delta_matroid(s: SetSystem) -> bool:
@@ -241,25 +223,6 @@ def rho(d: SetSystem, a: int) -> int:
     return d.n - min((a ^ f).bit_count() for f in d.feasible)
 
 
-def _require_matroid(m: SetSystem) -> None:
-    sizes = {f.bit_count() for f in m.feasible}
-    if len(sizes) != 1:
-        raise ValueError("not a matroid: feasible sets have unequal cardinalities")
-
-
-def matroid_rank(m: SetSystem, a: int) -> int:
-    """Matroid rank of A: max |A ∩ B| over bases B."""
-    _require_matroid(m)
-    if not 0 <= a <= m.full_mask:
-        raise ValueError(f"mask {a} out of range")
-    return max((a & b).bit_count() for b in m.feasible)
-
-
-def matroid_nullity(m: SetSystem, a: int) -> int:
-    """Nullity of A: |A| - rank(A)."""
-    return a.bit_count() - matroid_rank(m, a)
-
-
 def min_max_parts(d: SetSystem) -> tuple[SetSystem, SetSystem]:
     """(D_min, D_max): the matroids of minimum- and maximum-size feasibles."""
     sizes = [f.bit_count() for f in d.feasible]
@@ -267,45 +230,6 @@ def min_max_parts(d: SetSystem) -> tuple[SetSystem, SetSystem]:
     dmin = SetSystem(d.n, tuple(f for f, k in zip(d.feasible, sizes) if k == lo))
     dmax = SetSystem(d.n, tuple(f for f, k in zip(d.feasible, sizes) if k == hi))
     return dmin, dmax
-
-
-def _splits_over(d: SetSystem, part: int) -> bool:
-    """Does the family factor as (traces on part) x (traces on complement)?
-
-    Every feasible set splits uniquely over a bipartition, so the family
-    factors iff |F| equals the product of the two trace counts.
-    """
-    comp = d.full_mask & ~part
-    left = {f & part for f in d.feasible}
-    right = {f & comp for f in d.feasible}
-    return len(left) * len(right) == len(d.feasible)
-
-
-def is_connected(d: SetSystem) -> bool:
-    """Connectivity: no bipartition of E writes D as a direct sum.
-
-    Normal binary delta-matroids short-circuit through connectivity of the
-    intersection graph; everything else is a brute-force bipartition search,
-    which is why ground sets beyond the enumeration limit are rejected.
-    """
-    if d.n <= 1:
-        return True
-    check_enum_size(d.n)
-    if d.feasible and d.feasible[0] == 0:
-        from . import gf2  # deferred: gf2 depends on this module
-
-        c = gf2.matrix_of_normal(d)
-        if gf2.delta_matroid_of_matrix(c) == d:  # d is normal binary: d = D(C)
-            graph = gf2.IntersectionGraph(c)
-            return len(gf2.graph_predicates(graph).components) <= 1
-    # Fix element 0 on the left side so each bipartition is seen once.
-    for part in range(1 << (d.n - 1)):
-        left = (part << 1) | 1
-        if left == d.full_mask:
-            continue
-        if _splits_over(d, left):
-            return False
-    return True
 
 
 # --- .dm text format -------------------------------------------------------

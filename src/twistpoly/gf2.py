@@ -2,14 +2,15 @@
 
 A symmetric matrix C over GF(2) determines a normal delta-matroid whose
 feasible sets are the index sets of nonsingular principal submatrices.
-Conversely the matrix (and hence the intersection graph) of a normal
-binary delta-matroid is reconstructed from its feasible sets of size one
-and two.  Matrices are stored as tuples of row bitmasks.
+Conversely the matrix of a normal binary delta-matroid is reconstructed
+from its feasible sets of size one and two.  Matrices are stored as
+tuples of row bitmasks, and a graph is its adjacency matrix: the
+intersection graph of D(C) is C itself, with a diagonal bit as a loop.
 
 D(C) has one kernel, ``dc_bits``, which evaluates the determinant of
 every principal submatrix at once as the bits of one 2^n-bit int.
-``_dc_loop`` runs ``_rank``, the one GF(2) elimination, once per subset
-and is kept as its oracle.
+``_dc_loop`` runs ``_nonsingular``, the one GF(2) elimination, once per
+subset and is kept as its oracle.
 """
 
 from __future__ import annotations
@@ -39,42 +40,11 @@ class SymMatrixGF2:
                 if not (self.rows[j] >> i) & 1:
                     raise ValueError(f"matrix not symmetric at {min(i, j), max(i, j)}")
 
-    @classmethod
-    def zeros(cls, n: int) -> "SymMatrixGF2":
-        return cls(n, (0,) * n)
 
-    @classmethod
-    def from_entries(cls, entries: list[list[int]]) -> "SymMatrixGF2":
-        n = len(entries)
-        rows = []
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            rows.append(sum((1 << j) for j, v in enumerate(row) if v & 1))
-        return cls(n, tuple(rows))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    @property
-    def diagonal(self) -> int:
-        return sum(1 << i for i in range(self.n) if (self.rows[i] >> i) & 1)
-
-    def __str__(self) -> str:
-        return "\n".join(
-            "".join(str((r >> j) & 1) for j in range(self.n)) for r in self.rows
-        )
-
-
-def _rank(rows: tuple[int, ...], a: int, early_exit: bool) -> int:
-    """Rank over GF(2) of the principal submatrix on A.
-
-    With ``early_exit`` the elimination stops at the first dependent row
-    and returns a value below |A|; D(C) only needs to know whether C[A]
-    is nonsingular.
-    """
+def _nonsingular(rows: tuple[int, ...], a: int) -> bool:
+    """Is the principal submatrix C[A] nonsingular over GF(2)?  Gaussian
+    elimination that stops at the first dependent row."""
     basis = [0] * a.bit_length()
-    rank = 0
     rem = a
     while rem:
         low = rem & -rem
@@ -86,25 +56,16 @@ def _rank(rows: tuple[int, ...], a: int, early_exit: bool) -> int:
                 v ^= basis[t]
             else:
                 basis[t] = v
-                rank += 1
                 break
         else:
-            if early_exit:
-                return rank
-    return rank
-
-
-def gf2_rank(c: SymMatrixGF2, a: int) -> int:
-    """Rank over GF(2) of the principal submatrix C[A]."""
-    if not 0 <= a < (1 << c.n):
-        raise ValueError(f"mask {a} out of range")
-    return _rank(c.rows, a, False)
+            return False
+    return True
 
 
 def _dc_loop(rows: tuple[int, ...], n: int) -> list[int]:
-    """Feasible sets of D(C), one ``_rank`` elimination per subset; the
-    oracle of ``dc_bits``."""
-    return [a for a in range(1 << n) if _rank(rows, a, True) == a.bit_count()]
+    """Feasible sets of D(C), one ``_nonsingular`` elimination per subset;
+    the oracle of ``dc_bits``."""
+    return [a for a in range(1 << n) if _nonsingular(rows, a)]
 
 
 def dc_bits(matrix: SymMatrixGF2) -> int:
@@ -187,27 +148,16 @@ def is_normal_binary(d: SetSystem) -> bool:
     return delta_matroid_of_matrix(matrix_of_normal(d)) == d
 
 
-@dataclass(frozen=True)
-class IntersectionGraph:
-    """Looped simple graph as a symmetric adjacency matrix; a diagonal bit
-    is a loop at that vertex."""
-
-    adjacency: SymMatrixGF2
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.n
-
-    def has_loop(self, v: int) -> bool:
-        return bool(self.adjacency.entry(v, v))
-
-
-def intersection_graph(d: SetSystem) -> IntersectionGraph:
-    """Intersection graph of a normal binary delta-matroid: u ~ v iff
-    C_uv = 1; loops sit exactly at the odd (singleton-feasible) elements."""
-    if not is_normal_binary(d):
-        raise ValueError("intersection graph requires a normal binary delta-matroid")
-    return IntersectionGraph(matrix_of_normal(d))
+def intersection_graph(d: SetSystem) -> SymMatrixGF2:
+    """Intersection graph of a normal binary delta-matroid, as its
+    adjacency matrix C: u ~ v iff C_uv = 1, and a diagonal bit is a loop,
+    so loops sit exactly at the odd (singleton-feasible) elements."""
+    if d.feasible and d.feasible[0] == 0:
+        check_enum_size(d.n)
+        c = matrix_of_normal(d)
+        if delta_matroid_of_matrix(c) == d:
+            return c
+    raise ValueError("intersection graph requires a normal binary delta-matroid")
 
 
 class GraphProperties(NamedTuple):
@@ -226,12 +176,12 @@ def _component_complete(rows: tuple[int, ...], comp: tuple[int, ...]) -> bool:
     return all((rows[v] | (1 << v)) & mask == mask for v in comp)
 
 
-def graph_predicates(g: IntersectionGraph) -> GraphProperties:
+def graph_predicates(g: SymMatrixGF2) -> GraphProperties:
     """Bipartiteness (a loop forces false) with a 2-coloring witness,
     connected components, and the complete / complete-of-odd-order
-    component predicates."""
+    component predicates of the graph with adjacency matrix ``g``."""
     n = g.n
-    rows = g.adjacency.rows
+    rows = g.rows
     color = [-1] * n
     bipartite = all(not (rows[v] >> v) & 1 for v in range(n))
     comps = []
@@ -268,7 +218,7 @@ def graph_predicates(g: IntersectionGraph) -> GraphProperties:
     return GraphProperties(bipartite, components, is_complete, all_odd, coloring)
 
 
-def two_coloring(g: IntersectionGraph) -> tuple[int, int] | None:
+def two_coloring(g: SymMatrixGF2) -> tuple[int, int] | None:
     """A bipartition witness (mask of part X, mask of part Y), or None."""
     return graph_predicates(g).coloring
 
@@ -304,11 +254,7 @@ def parse_gf2(text: str) -> SymMatrixGF2:
         raise ParseError(str(exc)) from None
 
 
-def format_gf2(c: SymMatrixGF2) -> str:
-    return str(c.n) + "\n" + str(c) + ("\n" if c.n else "")
-
-
-def parse_graph(text: str) -> IntersectionGraph:
+def parse_graph(text: str) -> SymMatrixGF2:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty graph file")
@@ -333,15 +279,12 @@ def parse_graph(text: str) -> IntersectionGraph:
             raise ParseError(f"edge {ln!r} out of range 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return IntersectionGraph(SymMatrixGF2(n, tuple(rows)))
+    return SymMatrixGF2(n, tuple(rows))
 
 
-def format_graph(g: IntersectionGraph) -> str:
+def format_graph(g: SymMatrixGF2) -> str:
     lines = [str(g.n)]
-    for u in range(g.n):
-        if g.has_loop(u):
-            lines.append(f"{u} {u}")
-        for v in range(u + 1, g.n):
-            if g.adjacency.entry(u, v):
-                lines.append(f"{u} {v}")
+    for u, row in enumerate(g.rows):
+        # the loop "u u" first, then the edges to higher vertices
+        lines.extend(f"{u} {v}" for v in iter_elements(row >> u << u))
     return "\n".join(lines) + "\n"

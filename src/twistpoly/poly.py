@@ -162,17 +162,18 @@ def twist_polynomial_of_bits(feasible: int, n: int) -> WidthPolynomial:
     if not feasible:
         raise ValueError("the twist polynomial needs a nonempty feasible family")
     size = 1 << n
+    full = (1 << size) - 1
     level = reached = feasible
     # (2^i, the subsets without i): the low half of every period of 2^(i+1)
     moves = [(1 << i, tile_bits((1 << (1 << i)) - 1, 2 << i, size)) for i in range(n)]
-    levels = []
-    while level:
-        levels.append(level)
+    levels = [level]
+    while reached != full:  # the n-cube is connected: each level is nonempty
         grown = 0
         for w, without_i in moves:
             grown |= (level & without_i) << w | (level >> w) & without_i
         level = grown & ~reached
         reached |= level
+        levels.append(level)
     far = [_reversed_bits(x, size) for x in levels]
     counts = [0] * (n + 1)
     for j, near in enumerate(levels):

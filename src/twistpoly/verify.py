@@ -1,8 +1,8 @@
 """Exhaustive and randomized verification of the library's structural
 identities over enumerated instance families.
 
-Each check sweeps a family (all delta-matroids up to a size, all symmetric
-GF(2) matrices, all signed rotations, ...) and records every instance that
+Each check sweeps a family (all delta-matroids up to a size, all simple
+graphs, all signed rotations, ...) and records every instance that
 violates the identity under test, together with both sides of the failed
 equation.  A report passes iff its counterexample list is empty.
 """
@@ -35,7 +35,6 @@ from .bouquet import (
     rotation_from_pairing,
 )
 from .gf2 import (
-    IntersectionGraph,
     SymMatrixGF2,
     delta_matroid_of_matrix,
     graph_predicates,
@@ -54,7 +53,6 @@ _CEX_CAP = 25
 _BOUNDS = {
     "all-set-systems": 4,
     "all-delta-matroids": 4,
-    "all-symmetric-gf2": 6,
     "all-simple-graphs": 6,
     "all-signed-rotations": 5,
 }
@@ -146,13 +144,6 @@ def _symmetric_from_bits(n: int, bits: int, zero_diagonal: bool) -> SymMatrixGF2
                 rows[j] |= 1 << i
             k += 1
     return SymMatrixGF2(n, tuple(rows))
-
-
-def all_symmetric_matrices(n: int) -> Iterator[SymMatrixGF2]:
-    """All 2^(n(n+1)/2) symmetric GF(2) matrices, labeled."""
-    _check_family_bound("all-symmetric-gf2", n)
-    for bits in range(1 << (n * (n + 1) // 2)):
-        yield _symmetric_from_bits(n, bits, zero_diagonal=False)
 
 
 def all_simple_graph_matrices(n: int) -> Iterator[SymMatrixGF2]:
@@ -359,7 +350,7 @@ def check_bipartite_constant_term(n_max: int = 6) -> VerificationReport:
                 rep.fail(f"round trip: C={c.rows} reconstructed as {recon.rows}")
                 continue
             p = twist_polynomial_fast(d)
-            props = graph_predicates(IntersectionGraph(recon))
+            props = graph_predicates(recon)
             if (p.constant_term > 0) != props.is_bipartite:
                 rep.fail(
                     f"C={c.rows}: constant term {p.constant_term}, "
@@ -396,7 +387,7 @@ def check_monomial_complete_odd(
             rep.fail(f"round trip: C={c.rows} reconstructed as {recon.rows}")
             return
         p = twist_polynomial_fast(d)
-        props = graph_predicates(IntersectionGraph(recon))
+        props = graph_predicates(recon)
         if p.is_monomial != props.all_components_complete_odd:
             rep.fail(
                 f"C={c.rows}: monomial={p.is_monomial}, "

@@ -99,7 +99,7 @@ def test_bouquet_delta_matroids_are_normal_and_valid():
 
 def test_interlacement_matrix_examples():
     assert interlacement_matrix(INTERLACED) == SymMatrixGF2(2, (0b10, 0b01))
-    assert interlacement_matrix(parse_signed_rotation("1 1 2 2")) == SymMatrixGF2.zeros(2)
+    assert interlacement_matrix(parse_signed_rotation("1 1 2 2")) == SymMatrixGF2(2, (0, 0))
     assert interlacement_matrix(MOBIUS) == SymMatrixGF2(1, (1,))
 
 

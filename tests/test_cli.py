@@ -11,13 +11,8 @@ import pytest
 
 from twistpoly.cli import run
 from twistpoly.core import format_dm
-from twistpoly.gf2 import (
-    IntersectionGraph,
-    delta_matroid_of_matrix,
-    format_gf2,
-    format_graph,
-)
-from twistpoly.verify import all_symmetric_matrices, complete_graph_matrix
+from twistpoly.gf2 import delta_matroid_of_matrix, format_graph
+from twistpoly.verify import _symmetric_from_bits, complete_graph_matrix
 
 PAIR_DM = "2\n2\n-\n0,1\n"
 REMARK_DM = "2\n2\n0\n1\n"
@@ -30,6 +25,11 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _gf2_text(c):
+    rows = ("".join(str((r >> j) & 1) for j in range(c.n)) + "\n" for r in c.rows)
+    return f"{c.n}\n" + "".join(rows)
 
 
 def test_check_delta_matroid(tmp_path, capsys):
@@ -104,8 +104,9 @@ def test_intersection_graph_requires_normal_binary(tmp_path, capsys):
 
 def test_matrix_graph_roundtrip_via_cli(tmp_path, capsys):
     # from-matrix then intersection-graph reproduces the input matrix
-    for i, c in enumerate(all_symmetric_matrices(3)):
-        gf2 = _write(tmp_path, f"m{i}.gf2", f"3\n{c}\n")
+    for i in range(1 << 6):
+        c = _symmetric_from_bits(3, i, False)
+        gf2 = _write(tmp_path, f"m{i}.gf2", _gf2_text(c))
         assert run(["from-matrix", gf2]) == 0
         dm = _write(tmp_path, f"m{i}.dm", capsys.readouterr().out)
         assert run(["intersection-graph", dm]) == 0
@@ -184,8 +185,8 @@ def test_cli_import_does_not_load_numpy():
 def test_query_commands_do_not_load_numpy(tmp_path):
     k10 = complete_graph_matrix(10)
     rotation = " ".join(map(str, [*range(1, 11), *range(1, 11)]))
-    gf2_path = _write(tmp_path, "k10.gf2", format_gf2(k10))
-    graph_path = _write(tmp_path, "k10.graph", format_graph(IntersectionGraph(k10)))
+    gf2_path = _write(tmp_path, "k10.gf2", _gf2_text(k10))
+    graph_path = _write(tmp_path, "k10.graph", format_graph(k10))
     dm_path = _write(tmp_path, "k10.dm", format_dm(delta_matroid_of_matrix(k10)))
     commands = [
         ["from-matrix", gf2_path],
@@ -220,8 +221,9 @@ def _limit_address_space():
         ("check", "100000000000\n1\n-\n"),
         ("from-graph", "20000\n"),
         ("from-graph", "100000000000\n"),
+        ("intersection-graph", "1000000\n1\n-\n"),
     ],
-    ids=["check-n1e11", "from-graph-20000", "from-graph-1e11"],
+    ids=["check-n1e11", "from-graph-20000", "from-graph-1e11", "intersection-graph-n1e6"],
 )
 def test_large_sizes_exit_2_under_a_memory_cap(tmp_path, command, text):
     path = _write(tmp_path, "big.in", text)

@@ -9,17 +9,13 @@ import pytest
 from twistpoly import core
 from twistpoly.core import (
     SetSystem,
-    TRIVIAL,
     delete,
     direct_sum,
     dual,
     format_dm,
-    is_connected,
     is_delta_matroid,
     loops_coloops,
     mask_of,
-    matroid_nullity,
-    matroid_rank,
     min_max_parts,
     parse_dm,
     predicates,
@@ -31,6 +27,7 @@ from twistpoly.verify import all_delta_matroids, random_delta_matroid
 
 REMARK = SetSystem.from_sets(2, [[0], [1]])  # ({1,2}, {{1},{2}}) 0-indexed
 PAIR = SetSystem.from_sets(2, [[], [0, 1]])
+TRIVIAL = SetSystem(0, (0,))  # empty ground set, feasible family {∅}
 
 
 def test_mask_helpers():
@@ -42,8 +39,7 @@ def test_mask_helpers():
 def test_set_system_canonical_form():
     s = SetSystem.from_masks(3, [6, 1, 6, 0])
     assert s.feasible == (0, 1, 6)
-    assert s.is_proper and not s.is_trivial
-    assert TRIVIAL.is_trivial and TRIVIAL.is_proper
+    assert SetSystem.from_sets(0, [[], []]) == TRIVIAL
 
 
 def test_set_system_validation():
@@ -146,7 +142,7 @@ def test_delete_stays_proper_delta_matroid():
     for d in all_delta_matroids(3):
         for e in range(3):
             out = delete(d, e)
-            assert out.is_proper
+            assert out.feasible  # proper
             assert is_delta_matroid(out)
 
 
@@ -177,19 +173,12 @@ def test_rho():
     assert rho(REMARK, 0) == 1
 
 
-def test_matroid_rank_and_nullity():
-    assert matroid_rank(REMARK, 0) == 0
-    assert matroid_rank(REMARK, 0b11) == 1
-    assert matroid_nullity(REMARK, 0b11) == 1
-    with pytest.raises(ValueError):
-        matroid_rank(PAIR, 0)  # widths 0 and 2: not a matroid
-
-
 def test_matroid_rank_monotone_submodular():
+    # the rank of D_min, max |A ∩ B| over its bases, as Lemma 5 computes it
     for d in all_delta_matroids(3):
         m, _ = min_max_parts(d)
         size = 1 << 3
-        ranks = [matroid_rank(m, a) for a in range(size)]
+        ranks = [max((a & b).bit_count() for b in m.feasible) for a in range(size)]
         for x in range(size):
             for y in range(size):
                 if x & ~y == 0:
@@ -205,27 +194,6 @@ def test_min_max_parts():
     assert min_max_parts(REMARK) == (REMARK, REMARK)
     lo2, _ = min_max_parts(SetSystem.from_sets(2, [[0], [1], [0, 1]]))
     assert lo2 == REMARK
-
-
-def test_is_connected_examples():
-    assert not is_connected(SetSystem.from_sets(2, [[], [0], [1], [0, 1]]))
-    assert is_connected(PAIR)
-    assert is_connected(SetSystem.from_sets(1, [[]]))
-    assert is_connected(TRIVIAL)
-
-
-def test_direct_sums_are_disconnected():
-    rng = Random(23)
-    for _ in range(15):
-        a = random_delta_matroid(rng.randint(1, 4), rng)
-        b = random_delta_matroid(rng.randint(1, 4), rng)
-        assert not is_connected(direct_sum(a, b))
-
-
-def test_is_connected_rejects_oversize():
-    big = SetSystem(20, (0,))
-    with pytest.raises(core.UnsupportedSizeError):
-        is_connected(big)
 
 
 def test_twist_and_min_max_parts_keep_the_axiom():

@@ -10,14 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistpoly import core, gf2
-from twistpoly.core import SetSystem, is_connected, is_delta_matroid, predicates
+from twistpoly.core import SetSystem, is_delta_matroid, predicates
 from twistpoly.gf2 import (
-    IntersectionGraph,
     SymMatrixGF2,
     delta_matroid_of_matrix,
-    format_gf2,
     format_graph,
-    gf2_rank,
     graph_predicates,
     intersection_graph,
     is_normal_binary,
@@ -28,14 +25,20 @@ from twistpoly.gf2 import (
 )
 from twistpoly.bouquet import canonical_bouquet, delta_matroid_of_bouquet
 from twistpoly.verify import (
+    _symmetric_from_bits,
     all_simple_graph_matrices,
-    all_symmetric_matrices,
     complete_graph_matrix,
     random_symmetric_matrix,
 )
 
-X2 = SymMatrixGF2.from_entries([[0, 1], [1, 0]])
-PATH3 = SymMatrixGF2.from_entries([[0, 1, 1], [1, 0, 0], [1, 0, 0]])  # center 0
+X2 = SymMatrixGF2(2, (0b10, 0b01))
+PATH3 = SymMatrixGF2(3, (0b110, 0b001, 0b001))  # center 0
+
+
+def every_symmetric_matrix(n):
+    """All 2^(n(n+1)/2) symmetric GF(2) matrices of order n, labelled."""
+    for bits in range(1 << (n * (n + 1) // 2)):
+        yield _symmetric_from_bits(n, bits, False)
 
 
 def test_matrix_validation():
@@ -45,19 +48,11 @@ def test_matrix_validation():
         SymMatrixGF2(2, (0,))
     with pytest.raises(ValueError):
         SymMatrixGF2(1, (2,))
-    assert SymMatrixGF2.zeros(3).rows == (0, 0, 0)
-
-
-def test_gf2_rank_examples():
-    assert gf2_rank(X2, 0b11) == 2
-    assert gf2_rank(X2, 0b01) == 0
-    assert gf2_rank(PATH3, 0b111) == 2
-    assert gf2_rank(PATH3, 0) == 0  # C[∅]: rank 0, nonsingular by convention
 
 
 def test_delta_matroid_of_matrix_examples():
     assert delta_matroid_of_matrix(X2) == SetSystem.from_sets(2, [[], [0, 1]])
-    assert delta_matroid_of_matrix(SymMatrixGF2.zeros(2)) == SetSystem.from_sets(2, [[]])
+    assert delta_matroid_of_matrix(SymMatrixGF2(2, (0, 0))) == SetSystem.from_sets(2, [[]])
     assert delta_matroid_of_matrix(SymMatrixGF2(1, (1,))) == SetSystem.from_sets(
         1, [[], [0]]
     )
@@ -67,7 +62,7 @@ def test_matrix_of_normal_examples():
     assert matrix_of_normal(SetSystem.from_sets(2, [[], [0, 1]])) == X2
     d = SetSystem.from_sets(2, [[], [0], [1], [0, 1]])
     assert matrix_of_normal(d) == SymMatrixGF2(2, (1, 2))
-    assert matrix_of_normal(SetSystem.from_sets(1, [[]])) == SymMatrixGF2.zeros(1)
+    assert matrix_of_normal(SetSystem.from_sets(1, [[]])) == SymMatrixGF2(1, (0,))
     with pytest.raises(ValueError):
         matrix_of_normal(SetSystem.from_sets(2, [[0], [1]]))
 
@@ -89,13 +84,13 @@ def test_is_normal_binary():
 
 def test_round_trip_exhaustive():
     for n in range(6):
-        for c in all_symmetric_matrices(n):
+        for c in every_symmetric_matrix(n):
             assert matrix_of_normal(delta_matroid_of_matrix(c)) == c
 
 
 def test_matrix_delta_matroids_are_normal_delta_matroids():
     for n in range(5):
-        for c in all_symmetric_matrices(n):
+        for c in every_symmetric_matrix(n):
             d = delta_matroid_of_matrix(c)
             assert d.feasible[0] == 0 and is_delta_matroid(d)
 
@@ -108,7 +103,7 @@ def test_evenness_iff_zero_diagonal():
     for _ in range(50):
         c = random_symmetric_matrix(5, rng)
         d = delta_matroid_of_matrix(c)
-        assert predicates(d).is_even == (c.diagonal == 0)
+        assert predicates(d).is_even == all(not (r >> i) & 1 for i, r in enumerate(c.rows))
 
 
 def _connected_by_bipartition_search(d: SetSystem) -> bool:
@@ -126,37 +121,21 @@ def _connected_by_bipartition_search(d: SetSystem) -> bool:
     return True
 
 
-def test_is_connected_builds_dc_once(monkeypatch):
-    calls = []
-
-    def counting(c):
-        calls.append(c)
-        return delta_matroid_of_matrix(c)
-
-    d = delta_matroid_of_matrix(complete_graph_matrix(5))
-    monkeypatch.setattr(gf2, "delta_matroid_of_matrix", counting)
-    assert is_connected(d)
-    assert len(calls) == 1
-
-
 def test_connectivity_matches_graph_and_bipartition_search():
+    # D(C) is connected iff its intersection graph is (Bouchet)
     for n in range(1, 5):
-        for c in all_symmetric_matrices(n):
+        for c in every_symmetric_matrix(n):
             d = delta_matroid_of_matrix(c)
-            props = graph_predicates(IntersectionGraph(c))
-            expect = len(props.components) <= 1
-            assert is_connected(d) == expect
+            expect = len(graph_predicates(c).components) <= 1
             assert _connected_by_bipartition_search(d) == expect
 
 
 def test_intersection_graph_examples():
     for t in (2, 3, 4):
         d = delta_matroid_of_bouquet(canonical_bouquet(t))
-        g = intersection_graph(d)
-        assert g.adjacency == complete_graph_matrix(t)
-        assert not any(g.has_loop(v) for v in range(t))
+        assert intersection_graph(d) == complete_graph_matrix(t)  # no loops
     g1 = intersection_graph(SetSystem.from_sets(1, [[], [0]]))
-    assert g1.has_loop(0)
+    assert g1 == SymMatrixGF2(1, (1,))  # a loop at 0
     with pytest.raises(ValueError):
         intersection_graph(SetSystem.from_sets(2, [[0], [1]]))
 
@@ -166,34 +145,32 @@ def test_even_graphs_are_loop_free():
     for _ in range(25):
         c = random_symmetric_matrix(5, rng, zero_diagonal=True)
         g = intersection_graph(delta_matroid_of_matrix(c))
-        assert not any(g.has_loop(v) for v in range(5))
+        assert all(not (r >> v) & 1 for v, r in enumerate(g.rows))
 
 
 def test_graph_predicates():
-    k5 = graph_predicates(IntersectionGraph(complete_graph_matrix(5)))
+    k5 = graph_predicates(complete_graph_matrix(5))
     assert not k5.is_bipartite and k5.is_complete and k5.all_components_complete_odd
-    p3 = graph_predicates(IntersectionGraph(PATH3))
+    p3 = graph_predicates(PATH3)
     assert p3.is_bipartite and not p3.is_complete and not p3.all_components_complete_odd
-    k3k1 = SymMatrixGF2.from_entries(
-        [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]]
-    )
-    props = graph_predicates(IntersectionGraph(k3k1))
+    k3k1 = SymMatrixGF2(4, (0b0110, 0b0101, 0b0011, 0))
+    props = graph_predicates(k3k1)
     assert props.all_components_complete_odd and not props.is_complete
     assert props.components == ((0, 1, 2), (3,))
-    looped = graph_predicates(IntersectionGraph(SymMatrixGF2(1, (1,))))
+    looped = graph_predicates(SymMatrixGF2(1, (1,)))
     assert not looped.is_bipartite
 
 
 def test_two_coloring():
-    x, y = two_coloring(IntersectionGraph(PATH3))
+    x, y = two_coloring(PATH3)
     assert x | y == 0b111 and x & y == 0
-    assert (x, y) == graph_predicates(IntersectionGraph(PATH3)).coloring
-    assert two_coloring(IntersectionGraph(complete_graph_matrix(3))) is None
-    assert two_coloring(IntersectionGraph(SymMatrixGF2(1, (1,)))) is None
-    assert two_coloring(IntersectionGraph(SymMatrixGF2.zeros(0))) == (0, 0)
+    assert (x, y) == graph_predicates(PATH3).coloring
+    assert two_coloring(complete_graph_matrix(3)) is None
+    assert two_coloring(SymMatrixGF2(1, (1,))) is None
+    assert two_coloring(SymMatrixGF2(0, ())) == (0, 0)
     # every edge of a bipartite graph crosses the coloring
     for c in all_simple_graph_matrices(5):
-        coloring = graph_predicates(IntersectionGraph(c)).coloring
+        coloring = graph_predicates(c).coloring
         if coloring is not None:
             x, y = coloring
             assert all(c.rows[v] & (x if (x >> v) & 1 else y) == 0 for v in range(5))
@@ -206,13 +183,18 @@ GF2_TEXT = """3
 """
 
 
+def _gf2_text(c):
+    rows = ("".join(str((r >> j) & 1) for j in range(c.n)) + "\n" for r in c.rows)
+    return f"{c.n}\n" + "".join(rows)
+
+
 def test_parse_format_gf2():
     c = parse_gf2(GF2_TEXT)
     assert c == complete_graph_matrix(3)
-    assert format_gf2(c) == GF2_TEXT
+    assert _gf2_text(c) == GF2_TEXT
     for n in range(4):
-        for mat in all_symmetric_matrices(n):
-            assert parse_gf2(format_gf2(mat)) == mat
+        for mat in every_symmetric_matrix(n):
+            assert parse_gf2(_gf2_text(mat)) == mat
 
 
 @pytest.mark.parametrize(
@@ -233,13 +215,12 @@ GRAPH_TEXT = """3
 
 def test_parse_format_graph():
     g = parse_graph(GRAPH_TEXT)
-    assert g.adjacency == SymMatrixGF2(3, (0b110, 0b011, 0b001))
-    assert parse_graph(format_graph(g)).adjacency == g.adjacency
+    assert g == SymMatrixGF2(3, (0b110, 0b011, 0b001))
+    assert format_graph(g) == GRAPH_TEXT
     rng = Random(53)
     for _ in range(20):
         adj = random_symmetric_matrix(6, rng)
-        g2 = IntersectionGraph(adj)
-        assert parse_graph(format_graph(g2)).adjacency == adj
+        assert parse_graph(format_graph(adj)) == adj
 
 
 @pytest.mark.parametrize("text", ["", "2\n0 2\n", "2\n0\n", "2\n0 x\n", "y\n"])
@@ -254,7 +235,7 @@ def test_parse_graph_rejects(text):
 
 def test_batched_dc_matches_loop_on_all_small_matrices():
     for n in range(5):
-        for c in all_symmetric_matrices(n):
+        for c in every_symmetric_matrix(n):
             assert delta_matroid_of_matrix(c).feasible == tuple(gf2._dc_loop(c.rows, n)), c
 
 

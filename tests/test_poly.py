@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistpoly.core import SetSystem, TRIVIAL, UnsupportedSizeError, restrict, twist
+from twistpoly.core import SetSystem, UnsupportedSizeError, format_dm, parse_dm, restrict, twist
 from twistpoly.poly import (
     WidthPolynomial,
     twist_polynomial_fast,
@@ -21,6 +21,7 @@ from twistpoly.verify import all_delta_matroids, random_delta_matroid
 
 REMARK = SetSystem.from_sets(2, [[0], [1]])
 PAIR = SetSystem.from_sets(2, [[], [0, 1]])
+TRIVIAL = SetSystem(0, (0,))  # empty ground set, feasible family {∅}
 
 
 def test_width_examples():
@@ -168,14 +169,14 @@ def test_normal_twist_width_splits_over_restriction():
 
 
 def test_restriction_width_rank_identity():
-    from twistpoly.core import matroid_rank, min_max_parts, rho
+    from twistpoly.core import min_max_parts, rho
 
     for n in range(4):
         for d in all_delta_matroids(n):
             dmin, _ = min_max_parts(d)
             null_e = n - dmin.feasible[0].bit_count()
             for a in range(1 << n):
-                ra = matroid_rank(dmin, a)
+                ra = max((a & b).bit_count() for b in dmin.feasible)
                 rhs = rho(d, a) - ra - null_e + (a.bit_count() - ra)
                 assert width(restrict(d, a)) == rhs
 
@@ -221,6 +222,12 @@ def set_systems(draw, max_n):
 @given(set_systems(8))
 def test_fast_matches_naive_on_drawn_set_systems(d):
     assert twist_polynomial_fast(d) == twist_polynomial_naive(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_systems(10))
+def test_parse_dm_inverts_format_dm(d):
+    assert parse_dm(format_dm(d)) == d
 
 
 def test_fast_rejects_an_empty_family():
