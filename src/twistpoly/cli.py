@@ -3,13 +3,15 @@
 All output is line-oriented plain text; machine-readable lines carry a
 stable prefix ("coeffs:", "THEOREM") so scripts can grep them without a
 structured-format dependency.  Exit codes: 0 success, 1 failed
-verification or violated cross-check, 2 parse/usage errors.
+verification or violated cross-check, 2 parse/usage errors.  A call
+builds the parser of the invoked subcommand alone (see `run`).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from operator import methodcaller
 from pathlib import Path
 
 from .bouquet import (
@@ -168,67 +170,74 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twistpoly",
-        description="Delta-matroid twists, twist polynomials, GF(2) "
-        "representations, and bouquet ribbon graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate a .dm file and report its predicates")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("twist", help="twist a .dm file by an element set")
+def _add_twist(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--set", required=True, metavar="ELEMS",
                    help='comma-separated element indices, or "-" for the empty set')
-    p.set_defaults(func=_cmd_twist)
 
-    p = sub.add_parser("twist-poly", help="twist polynomial of a .dm file")
+
+def _add_twist_poly(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--fast", dest="mode", action="store_const", const="fast")
     mode.add_argument("--naive", dest="mode", action="store_const", const="naive")
     mode.add_argument("--both", dest="mode", action="store_const", const="both",
                       help="compute both paths and cross-check")
-    p.set_defaults(func=_cmd_twist_poly, mode="fast")
+    p.set_defaults(mode="fast")
 
-    p = sub.add_parser("from-matrix", help="delta-matroid of a .gf2 matrix file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_from_matrix)
 
-    p = sub.add_parser("from-graph", help="delta-matroid of a .graph adjacency file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_from_graph)
-
-    p = sub.add_parser("from-bouquet", help="delta-matroid of a signed rotation")
-    p.add_argument("rotation", help='e.g. "(-1, -2, 3, 4, 2, 1, 3, 4)" or "1 2 1 2"')
-    p.set_defaults(func=_cmd_from_bouquet)
-
-    p = sub.add_parser("intersection-graph",
-                       help="intersection graph of a normal binary .dm file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_intersection_graph)
-
-    p = sub.add_parser("genus-poly",
-                       help="partial-duality polynomial of a signed rotation")
-    p.add_argument("rotation")
-    p.set_defaults(func=_cmd_genus_poly)
-
-    p = sub.add_parser("verify", help="run the verification harness")
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p.add_argument("--max-n", type=int, default=None,
                    help="override the suite's instance-size bound")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
 
+
+_add_file = methodcaller("add_argument", "file")
+
+# Each subcommand once: name, help, argument adder, handler.
+_COMMANDS = (
+    ("check", "validate a .dm file and report its predicates", _add_file, _cmd_check),
+    ("twist", "twist a .dm file by an element set", _add_twist, _cmd_twist),
+    ("twist-poly", "twist polynomial of a .dm file", _add_twist_poly, _cmd_twist_poly),
+    ("from-matrix", "delta-matroid of a .gf2 matrix file", _add_file, _cmd_from_matrix),
+    ("from-graph", "delta-matroid of a .graph adjacency file", _add_file, _cmd_from_graph),
+    ("from-bouquet", "delta-matroid of a signed rotation",
+     methodcaller("add_argument", "rotation",
+                  help='e.g. "(-1, -2, 3, 4, 2, 1, 3, 4)" or "1 2 1 2"'),
+     _cmd_from_bouquet),
+    ("intersection-graph", "intersection graph of a normal binary .dm file", _add_file,
+     _cmd_intersection_graph),
+    ("genus-poly", "partial-duality polynomial of a signed rotation",
+     methodcaller("add_argument", "rotation"), _cmd_genus_poly),
+    ("verify", "run the verification harness", _add_verify, _cmd_verify),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with `command`'s alone."""
+    parser = argparse.ArgumentParser(
+        prog="twistpoly",
+        description="Delta-matroid twists, twist polynomials, GF(2) "
+        "representations, and bouquet ribbon graphs.",
+    )
+    # With one subcommand built, usage lines still list all of them, as the full
+    # parser does; the full parser keeps metavar None for its error messages.
+    choices = None if command is None else "{%s}" % ",".join(c[0] for c in _COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name, help_text, add_arguments, handler in _COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Each subparser costs ~0.1 ms; build all only when argv[0] names no subcommand.
+    named = argv[0] if argv and argv[0] in (c[0] for c in _COMMANDS) else None
+    args = build_parser(named).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # ParseError and UnsupportedSizeError included

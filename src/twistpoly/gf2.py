@@ -266,6 +266,7 @@ def parse_graph(text: str) -> SymMatrixGF2:
         raise ParseError("vertex count must be nonnegative")
     if n > MAX_GROUND:
         raise ParseError(f"vertex count {n} exceeds the limit of {MAX_GROUND}")
+    check_enum_size(n)  # a graph is read only to build D(C); refuse before the rows
     rows = [0] * n
     for ln in lines[1:]:
         parts = ln.split()

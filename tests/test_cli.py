@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from twistpoly.cli import run
+from twistpoly.cli import build_parser, run
 from twistpoly.core import format_dm
 from twistpoly.gf2 import delta_matroid_of_matrix, format_graph
 from twistpoly.verify import _symmetric_from_bits, complete_graph_matrix
@@ -134,6 +134,49 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-verb"])
     assert exc.value.code == 2
+
+
+SUBCOMMANDS = [
+    "check", "twist", "twist-poly", "from-matrix", "from-graph",
+    "from-bouquet", "intersection-graph", "genus-poly", "verify",
+]
+HELP_AND_USAGE_ERRORS = [
+    *([cmd, "--help"] for cmd in SUBCOMMANDS),
+    *([cmd] for cmd in SUBCOMMANDS if cmd != "verify"),  # a missing positional
+    ["twist", "d.dm"],
+    ["twist-poly", "d.dm", "--fast", "--naive"],
+    ["verify", "--suite", "nope"],
+    ["verify", "--max-n", "x"],
+    ["check", "d.dm", "extra"],
+    ["--help"],
+    [],
+    ["no-such-verb"],
+]
+
+
+def _exit_and_output(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE_ERRORS, ids=" ".join)
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
+    """run() builds only the invoked subcommand's parser; what it prints
+    and its exit code must be what the parser with every subcommand gives."""
+    full = _exit_and_output(build_parser().parse_args, argv, capsys)
+    assert _exit_and_output(run, argv, capsys) == full
+
+
+def test_from_graph_refuses_a_large_vertex_count_before_reading_edges(tmp_path, capsys):
+    path = _write(tmp_path, "big.graph", "999999\n")
+    start = time.perf_counter()
+    assert run(["from-graph", path]) == 2
+    assert time.perf_counter() - start < 0.05
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ground set of size 999999 exceeds the enumeration limit of 16\n"
 
 
 def test_verify_suite(capsys):

@@ -202,7 +202,7 @@ def test_min_sweep_matches_bfs(n):
 
 
 @pytest.mark.parametrize("n", [7, 8])
-def test_fast_kernels_agree_at_the_threshold(n):
+def test_fast_matches_naive_on_random_delta_matroids(n):
     """Fast and naive routes agree on random delta-matroids at n = 7 and 8,
     the sizes around which the fast route once switched distance kernels."""
     rng = Random(200 + n)
