@@ -4,7 +4,11 @@ identities over enumerated instance families.
 Each check sweeps a family (all delta-matroids up to a size, all simple
 graphs, all signed rotations, ...) and records every instance that
 violates the identity under test, together with both sides of the failed
-equation.  A report passes iff its counterexample list is empty.
+equation.  A report passes iff it checked something and its
+counterexample list is empty.
+
+Every check takes one size, the value ``verify --max-n`` sets, and works
+out any other size from it or from its family's bound in ``_BOUNDS``.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from random import Random
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import (
     SetSystem,
@@ -35,6 +40,7 @@ from .bouquet import (
     rotation_from_pairing,
 )
 from .gf2 import (
+    GraphProperties,
     SymMatrixGF2,
     delta_matroid_of_matrix,
     graph_predicates,
@@ -54,17 +60,15 @@ _BOUNDS = {
     "all-set-systems": 4,
     "all-delta-matroids": 4,
     "all-simple-graphs": 6,
-    "all-signed-rotations": 5,
+    # e = 5 alone has 30240 rotations
+    "all-signed-rotations": 4,
 }
-
-# Exhaustive rotation sweeps stop below the bound: e = 5 alone has 30240
-# rotations.
-_EXHAUSTIVE_ROTATIONS = 4
 
 
 @dataclass
 class VerificationReport:
-    """Outcome of one identity sweep; passes iff no counterexamples."""
+    """Outcome of one identity sweep; passes iff no counterexamples.  It
+    times itself from construction until ``done()``."""
 
     theorem: str
     checked: int = 0
@@ -73,11 +77,16 @@ class VerificationReport:
     seed: int | None = None
     notes: list[str] = field(default_factory=list)
     _suppressed: int = 0
+    _start: float = field(default_factory=time.perf_counter, init=False, compare=False)
 
     @property
     def passed(self) -> bool:
         """A sweep that checked nothing shows nothing, so it does not pass."""
-        return self.checked > 0 and not self.counterexamples and not self._suppressed
+        return self.checked > 0 and not self.counterexamples
+
+    def done(self) -> VerificationReport:
+        self.elapsed = time.perf_counter() - self._start
+        return self
 
     def fail(self, text: str) -> None:
         if len(self.counterexamples) < _CEX_CAP:
@@ -223,7 +232,6 @@ def check_prop2(n_max: int = 4) -> VerificationReport:
     """Twist-polynomial basics: evaluation at 1 counts all twists, twisting
     leaves the polynomial unchanged, and direct sums multiply it."""
     rep = VerificationReport("prop2")
-    t0 = time.perf_counter()
     ref = SetSystem.from_sets(2, [[0], [1]])
     ref_poly = twist_polynomial_fast(ref)
     for n in range(0, n_max + 1):
@@ -243,52 +251,45 @@ def check_prop2(n_max: int = 4) -> VerificationReport:
             pself = twist_polynomial_fast(direct_sum(d, d))
             if pself != p * p:
                 rep.fail(f"sum with self: D={d}: {pself} != {p * p}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.done()
 
 
 def check_lemma4(t_max: int = 12) -> VerificationReport:
     """Fully interleaved bouquets match their closed-form genus polynomial."""
     rep = VerificationReport("lemma4")
-    t0 = time.perf_counter()
     for t in range(1, t_max + 1):
         rep.checked += 1
         got = partial_duality_polynomial(canonical_bouquet(t))
         want = interleaved_genus_closed_form(t)
         if got != want:
             rep.fail(f"B_{t}: {got} != {want}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.done()
 
 
 def check_prop1(v_max: int = 12) -> VerificationReport:
     """Complete intersection graphs: D(K_v adjacency) matches the same
     closed form as the interleaved bouquets."""
     rep = VerificationReport("prop1")
-    t0 = time.perf_counter()
     for v in range(1, v_max + 1):
         rep.checked += 1
         got = twist_polynomial_fast(delta_matroid_of_matrix(complete_graph_matrix(v)))
         want = interleaved_genus_closed_form(v)
         if got != want:
             rep.fail(f"K_{v}: {got} != {want}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.done()
 
 
 def check_constant_iff_single(n_max: int = 4) -> VerificationReport:
     """The twist polynomial is a nonzero constant iff there is exactly one
     feasible set."""
     rep = VerificationReport("constant-iff-single")
-    t0 = time.perf_counter()
     for n in range(0, n_max + 1):
         for d in all_delta_matroids(n):
             rep.checked += 1
             p = twist_polynomial_fast(d)
             if p.is_constant != (len(d.feasible) == 1):
                 rep.fail(f"D={d}: constant={p.is_constant}, |F|={len(d.feasible)}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.done()
 
 
 def check_lemma5_and_lemma2(n_max: int = 4) -> VerificationReport:
@@ -299,7 +300,6 @@ def check_lemma5_and_lemma2(n_max: int = 4) -> VerificationReport:
     the split, as it must.
     """
     rep = VerificationReport("lemma5-lemma2")
-    t0 = time.perf_counter()
     for n in range(0, n_max + 1):
         for d in all_delta_matroids(n):
             rep.checked += 1
@@ -331,8 +331,22 @@ def check_lemma5_and_lemma2(n_max: int = 4) -> VerificationReport:
         rep.notes.append(
             f"non-normal witness {remark}: split violated as expected ({lhs} != {rhs})"
         )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.done()
+
+
+def _binary_graph(
+    rep: VerificationReport, c: SymMatrixGF2
+) -> tuple[SetSystem, WidthPolynomial, GraphProperties] | None:
+    """Count the instance C, build D(C) and check that C comes back from
+    it.  Returns D(C), its polynomial and the graph predicates, or None
+    after recording the failed round trip."""
+    rep.checked += 1
+    d = delta_matroid_of_matrix(c)
+    recon = matrix_of_normal(d)
+    if recon != c:
+        rep.fail(f"round trip: C={c.rows} reconstructed as {recon.rows}")
+        return None
+    return d, twist_polynomial_fast(d), graph_predicates(recon)
 
 
 def check_bipartite_constant_term(n_max: int = 6) -> VerificationReport:
@@ -340,17 +354,11 @@ def check_bipartite_constant_term(n_max: int = 6) -> VerificationReport:
     intersection graph is bipartite; on bipartite instances the 2-coloring
     is checked to witness a width-zero twist."""
     rep = VerificationReport("bipartite-constant")
-    t0 = time.perf_counter()
-    for n in range(0, n_max + 1):
+    for n in range(n_max + 1):
         for c in all_simple_graph_matrices(n):
-            rep.checked += 1
-            d = delta_matroid_of_matrix(c)
-            recon = matrix_of_normal(d)
-            if recon != c:
-                rep.fail(f"round trip: C={c.rows} reconstructed as {recon.rows}")
+            if (graph := _binary_graph(rep, c)) is None:
                 continue
-            p = twist_polynomial_fast(d)
-            props = graph_predicates(recon)
+            d, p, props = graph
             if (p.constant_term > 0) != props.is_bipartite:
                 rep.fail(
                     f"C={c.rows}: constant term {p.constant_term}, "
@@ -366,56 +374,39 @@ def check_bipartite_constant_term(n_max: int = 6) -> VerificationReport:
                         f"C={c.rows}: 2-coloring X={x:#b} gives widths "
                         f"{wx}, {wy}, twist width {twist_width(d, x)}"
                     )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.done()
 
 
-def check_monomial_complete_odd(
-    n_max: int = 6, n7_samples: int = 100_000, seed: int = 0
-) -> VerificationReport:
+def check_monomial_complete_odd(n_max: int = 7, seed: int = 0) -> VerificationReport:
     """Monomial twist polynomial iff every component of the intersection
     graph is complete of odd order (even normal binary case); exhaustive
-    up to n_max, sampled at n = 7."""
+    up to min(n_max, 6), plus 10^5 samples at n = 7 when n_max > 6."""
     rep = VerificationReport("monomial-complete-odd", seed=seed)
-    t0 = time.perf_counter()
-
-    def verify(c: SymMatrixGF2) -> None:
-        rep.checked += 1
-        d = delta_matroid_of_matrix(c)
-        recon = matrix_of_normal(d)
-        if recon != c:
-            rep.fail(f"round trip: C={c.rows} reconstructed as {recon.rows}")
-            return
-        p = twist_polynomial_fast(d)
-        props = graph_predicates(recon)
+    bound = _BOUNDS["all-simple-graphs"]
+    rng = Random(seed)
+    exhaustive = (c for n in range(min(n_max, bound) + 1) for c in all_simple_graph_matrices(n))
+    samples = 100_000 if n_max > bound else 0
+    sampled = (random_symmetric_matrix(bound + 1, rng, zero_diagonal=True) for _ in range(samples))
+    for c in chain(exhaustive, sampled):
+        if (graph := _binary_graph(rep, c)) is None:
+            continue
+        _, p, props = graph
         if p.is_monomial != props.all_components_complete_odd:
             rep.fail(
                 f"C={c.rows}: monomial={p.is_monomial}, "
                 f"components complete odd={props.all_components_complete_odd}"
             )
-
-    for n in range(0, n_max + 1):
-        for c in all_simple_graph_matrices(n):
-            verify(c)
-    if n7_samples:
-        rng = Random(seed)
-        for _ in range(n7_samples):
-            verify(random_symmetric_matrix(7, rng, zero_diagonal=True))
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.done()
 
 
 def check_interlacement_oracle(
-    e_exhaustive: int = _EXHAUSTIVE_ROTATIONS,
-    trials: int = 10_000,
-    e_max: int = 8,
-    seed: int = 0,
+    e_max: int = 8, trials: int = 10_000, seed: int = 0
 ) -> VerificationReport:
     """Boundary tracing against interlacement linear algebra: both must
     produce the same feasible sets, and the full-subgraph Euler genus must
-    equal the delta-matroid width."""
+    equal the delta-matroid width.  Exhaustive up to min(e_max, 4), then
+    ``trials`` random rotations with up to e_max edges."""
     rep = VerificationReport("interlacement-oracle", seed=seed)
-    t0 = time.perf_counter()
 
     def verify(rot: SignedRotation, check_axiom: bool) -> None:
         rep.checked += 1
@@ -432,26 +423,23 @@ def check_interlacement_oracle(
             rep.fail(f"rotation {rot}: genus {genus} != width {width(traced)}")
 
     # the exchange axiom is re-checked only on the small exhaustive part
-    for e in range(1, e_exhaustive + 1):
+    for e in range(1, min(e_max, _BOUNDS["all-signed-rotations"]) + 1):
         for rot in all_signed_rotations(e):
             verify(rot, True)
-    if trials and e_max >= 1:
+    if e_max >= 1:
         rng = Random(seed)
         for _ in range(trials):
             verify(random_signed_rotation(rng.randint(1, e_max), rng), False)
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.done()
 
 
-def check_same_interlacement_pairs(
-    e: int = _EXHAUSTIVE_ROTATIONS, min_pairs: int = 20
-) -> VerificationReport:
+def check_same_interlacement_pairs(e: int = 4, min_pairs: int = 20) -> VerificationReport:
     """Distinct rotations with equal interlacement matrices must have equal
-    partial-duality polynomials."""
+    partial-duality polynomials; enumerates all rotations with min(e, 4)
+    edges."""
     rep = VerificationReport("same-interlacement-pairs")
-    t0 = time.perf_counter()
     buckets: dict[tuple[int, ...], list[SignedRotation]] = {}
-    for rot in all_signed_rotations(e):
+    for rot in all_signed_rotations(min(e, _BOUNDS["all-signed-rotations"])):
         buckets.setdefault(interlacement_matrix(rot).rows, []).append(rot)
     pairs = 0
     for rots in buckets.values():
@@ -466,17 +454,17 @@ def check_same_interlacement_pairs(
     rep.checked = pairs
     if pairs < min_pairs:
         rep.fail(f"only {pairs} same-interlacement pairs found, need {min_pairs}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.done()
 
 
 def check_fast_naive_equivalence(
-    n_exhaustive: int = 4, trials: int = 500, n_random: int = 12, seed: int = 0
+    n_random: int = 12, trials: int = 500, seed: int = 0
 ) -> VerificationReport:
-    """The BFS polynomial path must agree bit-exactly with the definition."""
+    """The BFS polynomial path must agree bit-exactly with the definition:
+    on every delta-matroid with n <= 4, then on ``trials`` random ones with
+    n = n_random."""
     rep = VerificationReport("fast-naive", seed=seed)
-    t0 = time.perf_counter()
-    for n in range(0, n_exhaustive + 1):
+    for n in range(_BOUNDS["all-delta-matroids"] + 1):
         for d in all_delta_matroids(n):
             rep.checked += 1
             if twist_polynomial_fast(d) != twist_polynomial_naive(d):
@@ -489,72 +477,40 @@ def check_fast_naive_equivalence(
         naive = twist_polynomial_naive(d)
         if fast != naive:
             rep.fail(f"random D with |F|={len(d.feasible)}: {fast} != {naive}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return rep.done()
 
 
 # --- suites -------------------------------------------------------------------
-#
-# A suite maps --max-n (None keeps the check's own defaults) and the seed to
-# its reports.
 
-Suite = Callable[[int | None, int], list[VerificationReport]]
-
-
-def _sized(check: Callable[..., VerificationReport], key: str, seeded: bool = False) -> Suite:
-    """The suite of one check whose size parameter is ``key``."""
-
-    def suite(max_n: int | None, seed: int) -> list[VerificationReport]:
-        kwargs = {} if max_n is None else {key: max_n}
-        if seeded:
-            kwargs["seed"] = seed
-        return [check(**kwargs)]
-
-    return suite
-
-
-def _monomial_suite(max_n: int | None, seed: int) -> list[VerificationReport]:
-    if max_n is None:
-        return [check_monomial_complete_odd(seed=seed)]
-    # the exhaustive part stops at the enumeration bound; the n = 7 samples
-    # run only when max_n reaches past it
-    n_max = min(max_n, _BOUNDS["all-simple-graphs"])
-    samples = {} if max_n > n_max else {"n7_samples": 0}
-    return [check_monomial_complete_odd(n_max, seed=seed, **samples)]
-
-
-def _interlacement_suite(max_n: int | None, seed: int) -> list[VerificationReport]:
-    if max_n is None:
-        return [check_interlacement_oracle(seed=seed), check_same_interlacement_pairs()]
-    e = min(max_n, _EXHAUSTIVE_ROTATIONS)
-    return [
-        check_interlacement_oracle(e, e_max=max_n, seed=seed),
-        check_same_interlacement_pairs(e),
-    ]
-
-
-_SUITES: dict[str, Suite] = {
-    "prop2": _sized(check_prop2, "n_max"),
-    "lemma4": _sized(check_lemma4, "t_max"),
-    "lemma5": _sized(check_lemma5_and_lemma2, "n_max"),
-    "prop1": _sized(check_prop1, "v_max"),
-    "constant": _sized(check_constant_iff_single, "n_max"),
-    "bipartite": _sized(check_bipartite_constant_term, "n_max"),
-    "monomial": _monomial_suite,
-    "interlacement": _interlacement_suite,
-    "fastnaive": _sized(check_fast_naive_equivalence, "n_random", seeded=True),
+_SUITES = {
+    "prop2": (check_prop2,),
+    "lemma4": (check_lemma4,),
+    "lemma5": (check_lemma5_and_lemma2,),
+    "prop1": (check_prop1,),
+    "constant": (check_constant_iff_single,),
+    "bipartite": (check_bipartite_constant_term,),
+    "monomial": (check_monomial_complete_odd,),
+    "interlacement": (check_interlacement_oracle, check_same_interlacement_pairs),
+    "fastnaive": (check_fast_naive_equivalence,),
 }
+
+_SEEDED = (check_monomial_complete_odd, check_interlacement_oracle, check_fast_naive_equivalence)
 
 SUITE_NAMES = ("all", *_SUITES)
 
 
 def run_suite(name: str, max_n: int | None = None, seed: int = 0) -> list[VerificationReport]:
-    """Run one named suite (or all of them); max_n overrides the suite's
-    instance-size bound, seed drives the randomized sweeps."""
+    """Run one named suite (or all of them).  max_n, when given, is the one
+    size each check takes (None keeps the checks' defaults); seed drives
+    the randomized sweeps."""
     if max_n is not None and max_n < 0:
         raise ValueError(f"max-n must be nonnegative, got {max_n}")
     if name == "all":
         return [rep for sub in _SUITES for rep in run_suite(sub, max_n, seed)]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return _SUITES[name](max_n, seed)
+    sizes = () if max_n is None else (max_n,)
+    return [
+        check(*sizes, **({"seed": seed} if check in _SEEDED else {}))
+        for check in _SUITES[name]
+    ]

@@ -102,7 +102,7 @@ def test_acceptance_6_bipartite_iff_constant_term():
 
 
 def test_acceptance_7_monomial_iff_components_complete_odd():
-    rep = check_monomial_complete_odd(6, n7_samples=100_000, seed=0)
+    rep = check_monomial_complete_odd(7, seed=0)
     ok = rep.passed and rep.checked == 133_868 and rep.elapsed < 300
     _report(7, "monomial iff components complete odd, n<=6 + sampled n=7", ok,
             rep.machine_line() + f" elapsed={rep.elapsed:.2f}s")
@@ -120,14 +120,14 @@ def test_acceptance_8_boundary_tracing_vs_interlacement():
         and euler_genus(mobius, 1) == 1
         and euler_genus(interlaced, 3) == 2
     )
-    rep = check_interlacement_oracle(4, trials=10_000, e_max=8, seed=0)
+    rep = check_interlacement_oracle(8, trials=10_000, seed=0)
     ok = anchors and rep.passed and rep.checked == 11_814 and rep.elapsed < 60
     _report(8, "tracing vs interlacement, 1680 diagrams at e=4 + 10^4 random", ok,
             rep.machine_line() + f" elapsed={rep.elapsed:.2f}s")
 
 
 def test_acceptance_9_fast_equals_naive():
-    rep = check_fast_naive_equivalence(4, trials=500, n_random=12, seed=0)
+    rep = check_fast_naive_equivalence(12, trials=500, seed=0)
     ok = rep.passed and rep.checked == 6633 and rep.elapsed < 60
     _report(9, "fast/naive bit-exact, all n<=4 + 500 random n=12", ok,
             rep.machine_line() + f" elapsed={rep.elapsed:.2f}s")

@@ -268,3 +268,10 @@ def symmetric_matrices(draw, max_n):
 @given(symmetric_matrices(9))
 def test_batched_dc_matches_loop_on_drawn_matrices(c):
     assert delta_matroid_of_matrix(c).feasible == tuple(gf2._dc_loop(c.rows, c.n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices(6))
+def test_dc_is_a_normal_delta_matroid(c):
+    d = delta_matroid_of_matrix(c)
+    assert predicates(d).is_normal and is_delta_matroid(d)

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistpoly.core import SetSystem, UnsupportedSizeError, format_dm, parse_dm, restrict, twist
+from twistpoly.core import (
+    SetSystem,
+    UnsupportedSizeError,
+    direct_sum,
+    dual,
+    format_dm,
+    parse_dm,
+    restrict,
+    twist,
+)
 from twistpoly.poly import (
     WidthPolynomial,
     twist_polynomial_fast,
@@ -139,8 +148,6 @@ def test_twist_invariance_larger_random():
 
 
 def test_direct_sum_multiplicativity():
-    from twistpoly.core import direct_sum
-
     rng = Random(37)
     for _ in range(20):
         a = random_delta_matroid(rng.randint(0, 5), rng)
@@ -218,10 +225,46 @@ def set_systems(draw, max_n):
     return SetSystem.from_masks(n, fam)
 
 
+@st.composite
+def set_system_pairs(draw, max_n):
+    """Two set systems whose ground sets add up to at most max_n."""
+    d1 = draw(set_systems(max_n))
+    return d1, draw(set_systems(max_n - d1.n))
+
+
 @settings(deadline=None)
 @given(set_systems(8))
 def test_fast_matches_naive_on_drawn_set_systems(d):
     assert twist_polynomial_fast(d) == twist_polynomial_naive(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_systems(8), st.data())
+def test_twist_is_an_involution(d, data):
+    a = data.draw(st.integers(0, d.full_mask))
+    assert twist(twist(d, a), a) == d
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_systems(8), st.data())
+def test_polynomial_is_twist_invariant(d, data):
+    a = data.draw(st.integers(0, d.full_mask))
+    assert twist_polynomial_fast(twist(d, a)) == twist_polynomial_fast(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_system_pairs(8))
+def test_dual_of_a_direct_sum_is_the_sum_of_the_duals(pair):
+    d1, d2 = pair
+    assert dual(direct_sum(d1, d2)) == direct_sum(dual(d1), dual(d2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_system_pairs(8))
+def test_polynomial_of_a_direct_sum_is_the_product(pair):
+    d1, d2 = pair
+    p = twist_polynomial_fast(direct_sum(d1, d2))
+    assert p == twist_polynomial_fast(d1) * twist_polynomial_fast(d2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 
 from twistpoly import verify
 from twistpoly.core import SetSystem, direct_sum, is_delta_matroid, twist
-from twistpoly.gf2 import delta_matroid_of_matrix
+from twistpoly.gf2 import SymMatrixGF2, delta_matroid_of_matrix
 from twistpoly.poly import twist_polynomial_fast
 from twistpoly.verify import (
     VerificationReport,
@@ -100,7 +100,7 @@ def test_family_bounds():
         (all_set_systems, 4),
         (all_delta_matroids, 4),
         (all_simple_graph_matrices, 6),
-        (all_signed_rotations, 5),
+        (all_signed_rotations, 4),
     ]:
         with pytest.raises(ValueError):
             next(family(bound + 1))
@@ -130,6 +130,7 @@ def test_report_lines():
     rep.fail("bad instance")
     assert rep.machine_line() == "THEOREM demo FAIL checked=5 seed=3"
     assert "bad instance" in rep.render()
+    assert rep.done() is rep and rep.elapsed > 0
     blank = VerificationReport("x")
     assert blank.machine_line() == "THEOREM x FAIL checked=0 seed=-"
 
@@ -157,11 +158,11 @@ def test_small_checks_pass():
     rep = check_lemma5_and_lemma2(3)
     assert rep.passed and any("violated as expected" in n for n in rep.notes)
     assert check_bipartite_constant_term(4).passed
-    assert check_monomial_complete_odd(4, n7_samples=0).passed
-    assert check_interlacement_oracle(3, trials=200, e_max=6, seed=1).passed
+    assert check_monomial_complete_odd(4).passed
+    assert check_interlacement_oracle(6, trials=200, seed=1).passed
     rep = check_same_interlacement_pairs(3, min_pairs=5)
     assert rep.passed and rep.checked >= 5
-    assert check_fast_naive_equivalence(2, trials=20, n_random=8, seed=1).passed
+    assert check_fast_naive_equivalence(8, trials=20, seed=1).passed
 
 
 def test_run_suite():
@@ -187,8 +188,80 @@ def test_interlacement_oracle_reports_non_delta_matroid(monkeypatch):
     assert "is not a delta-matroid" in rep.render()
 
 
+# (THEOREM id, checked=, PASS) of `verify --suite all --seed 2` per --max-n
+SUITE_ALL_AT = {
+    3: [
+        ("prop2", 174, True),
+        ("lemma4", 3, True),
+        ("lemma5-lemma2", 175, True),
+        ("prop1", 3, True),
+        ("constant-iff-single", 174, True),
+        ("bipartite-constant", 12, True),
+        ("monomial-complete-odd", 12, True),
+        ("interlacement-oracle", 10134, True),
+        ("same-interlacement-pairs", 56, True),
+        ("fast-naive", 6633, True),
+    ],
+    # fast-naive stays exhaustive over n <= 4 whatever --max-n is
+    0: [
+        ("prop2", 1, True),
+        ("lemma4", 0, False),
+        ("lemma5-lemma2", 2, True),
+        ("prop1", 0, False),
+        ("constant-iff-single", 1, True),
+        ("bipartite-constant", 1, True),
+        ("monomial-complete-odd", 1, True),
+        ("interlacement-oracle", 0, False),
+        ("same-interlacement-pairs", 0, False),
+        ("fast-naive", 6633, True),
+    ],
+}
+
+
 def test_run_suite_all_small():
-    reports = run_suite("all", max_n=3, seed=2)
-    names = {r.theorem for r in reports}
-    assert "prop2" in names and "interlacement-oracle" in names
-    assert all(r.passed for r in reports)
+    for max_n, want in SUITE_ALL_AT.items():
+        reports = run_suite("all", max_n=max_n, seed=2)
+        assert [(r.theorem, r.checked, r.passed) for r in reports] == want, max_n
+
+
+def _flip_first_edge(real):
+    """matrix_of_normal with entry (0, 1) and (1, 0) flipped."""
+
+    def fake(d):
+        m = real(d)
+        if m.n < 2:
+            return m
+        return SymMatrixGF2(m.n, (m.rows[0] ^ 0b10, m.rows[1] ^ 0b01, *m.rows[2:]))
+
+    return fake
+
+
+@pytest.mark.parametrize("suite", ["bipartite", "monomial"])
+def test_graph_checks_report_a_broken_round_trip(monkeypatch, suite):
+    monkeypatch.setattr(verify, "matrix_of_normal", _flip_first_edge(verify.matrix_of_normal))
+    (rep,) = run_suite(suite, max_n=3)
+    # the 2 graphs at n = 2 and the 8 at n = 3 fail; n <= 1 has no edge to flip
+    assert rep.checked == 12 and not rep.passed
+    assert len(rep.counterexamples) == 10
+    assert all(c.startswith("round trip: C=") for c in rep.counterexamples)
+
+
+@pytest.mark.parametrize(
+    "suite, flag, text",
+    [
+        ("bipartite", "is_bipartite", "constant term"),
+        ("monomial", "all_components_complete_odd", "monomial="),
+    ],
+)
+def test_graph_checks_report_a_wrong_predicate(monkeypatch, suite, flag, text):
+    real = verify.graph_predicates
+
+    def inverted(g):
+        props = real(g)
+        return props._replace(**{flag: not getattr(props, flag)})
+
+    monkeypatch.setattr(verify, "graph_predicates", inverted)
+    (rep,) = run_suite(suite, max_n=3)
+    assert rep.checked == 12 and not rep.passed
+    assert len(rep.counterexamples) == 12
+    assert all(text in c for c in rep.counterexamples)
