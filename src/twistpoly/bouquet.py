@@ -15,11 +15,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import MAX_ENUM_GROUND, ParseError, SetSystem, UnsupportedSizeError
+from .core import MAX_ENUM_GROUND, ParseError, SetSystem, UnsupportedSizeError, iter_elements
 from .gf2 import SymMatrixGF2, dc_bits
 from .poly import WidthPolynomial, twist_polynomial_of_bits
 
 _TOKEN = re.compile(r"-?\d+")
+
+
+def check_edge_count(e: int) -> None:
+    if e > MAX_ENUM_GROUND:
+        raise UnsupportedSizeError(f"{e} edges exceed the supported limit of {MAX_ENUM_GROUND}")
 
 
 @dataclass(frozen=True)
@@ -42,10 +47,7 @@ class SignedRotation:
         bad = [self.labels[i] for i, c in enumerate(counts) if c != 2]
         if bad:
             raise ValueError(f"labels must occur exactly twice; offending: {bad}")
-        if self.e > MAX_ENUM_GROUND:
-            raise UnsupportedSizeError(
-                f"{self.e} edges exceed the supported limit of {MAX_ENUM_GROUND}"
-            )
+        check_edge_count(self.e)
 
     @property
     def e(self) -> int:
@@ -55,20 +57,15 @@ class SignedRotation:
     def full_mask(self) -> int:
         return (1 << self.e) - 1
 
-    def positions(self) -> list[tuple[int, int]]:
-        """The two half-edge positions of each edge."""
+    def chords(self) -> list[tuple[int, int, bool]]:
+        """(first position, second position, orientable) of each edge."""
         first: dict[int, int] = {}
-        out: list[tuple[int, int]] = [(-1, -1)] * self.e
-        for p, (edge, _) in enumerate(self.seq):
-            if edge in first:
-                out[edge] = (first[edge], p)
-            else:
-                first[edge] = p
+        out = [(0, 0, False)] * self.e
+        for p, (edge, sign) in enumerate(self.seq):
+            # q = p at an edge's first position; its second one overwrites the entry
+            q = first.setdefault(edge, p)
+            out[edge] = (q, p, self.seq[q][1] == sign)
         return out
-
-    def is_orientable(self, edge: int) -> bool:
-        signs = [s for ed, s in self.seq if ed == edge]
-        return signs[0] == signs[1]
 
     def __str__(self) -> str:
         return " ".join(
@@ -142,51 +139,42 @@ def canonical_bouquet(t: int) -> SignedRotation:
 def boundary_components(b: SignedRotation, a: int) -> int:
     """Number of boundary circles of the spanning subgraph with edge set a.
 
-    The rotation is restricted to the chosen edges and each surviving
-    half-edge position gets two boundary trace points, one on each side.
-    Consecutive positions are joined across the vertex disc; the two ends
-    of a ribbon are joined straight for an orientable edge and with a flip
-    for a nonorientable one.  The union of the two matchings decomposes
-    into the boundary circles.  The empty subgraph is the bare vertex
-    disc, with one boundary circle.
+    The rotation is restricted to the chosen edges, and the i-th surviving
+    position gets two boundary trace points, 2i on its left side and
+    2i + 1 on its right.  Across the vertex disc the right side of i meets
+    the left side of i + 1, cyclically.  Along a ribbon, read from the
+    chord table, the two ends are joined straight for an orientable edge
+    and with a flip for a nonorientable one.  The union of the two
+    matchings decomposes into the boundary circles; the bare vertex disc
+    (a = 0) has one.  Tracing never builds D(C): it is the oracle of
+    D(interlacement_matrix(b)).
     """
     if not 0 <= a <= b.full_mask:
         raise ValueError(f"edge mask {a} out of range")
     if a == 0:
         return 1
-    pos = [p for p, (edge, _) in enumerate(b.seq) if (a >> edge) & 1]
-    k = len(pos)
-    # point 2*i is the left side of restricted position i, 2*i + 1 the right
-    vmate = [0] * (2 * k)
-    for i in range(k):
-        j = (i + 1) % k
-        vmate[2 * i + 1] = 2 * j
-        vmate[2 * j] = 2 * i + 1
-    emate = [0] * (2 * k)
-    occ: dict[int, list[int]] = {}
-    for i, p in enumerate(pos):
-        occ.setdefault(b.seq[p][0], []).append(i)
-    for edge, (p, q) in occ.items():
-        if b.is_orientable(edge):
-            emate[2 * p] = 2 * q + 1
-            emate[2 * q + 1] = 2 * p
-            emate[2 * p + 1] = 2 * q
-            emate[2 * q] = 2 * p + 1
+    kept = [p for p, (edge, _) in enumerate(b.seq) if (a >> edge) & 1]
+    m = 2 * len(kept)
+    left = dict(zip(kept, range(0, m, 2)))  # trace point 2i of the i-th kept position
+    chords = b.chords()
+    emate = [0] * m
+    for edge in iter_elements(a):
+        p, q, orientable = chords[edge]
+        i, j = left[p], left[q]
+        if orientable:
+            emate[i], emate[j + 1], emate[i + 1], emate[j] = j + 1, i, j, i + 1
         else:
-            emate[2 * p] = 2 * q
-            emate[2 * q] = 2 * p
-            emate[2 * p + 1] = 2 * q + 1
-            emate[2 * q + 1] = 2 * p + 1
+            emate[i], emate[j], emate[i + 1], emate[j + 1] = j, i, j + 1, i + 1
     circles = 0
-    seen = bytearray(2 * k)
-    for start in range(2 * k):
+    seen = bytearray(m)
+    for start in range(m):
         if seen[start]:
             continue
         circles += 1
         x = start
         while not seen[x]:
             seen[x] = 1
-            y = vmate[x]
+            y = (x + 1 if x & 1 else x - 1) % m
             seen[y] = 1
             x = emate[y]
     return circles
@@ -213,14 +201,13 @@ def delta_matroid_of_bouquet(b: SignedRotation) -> SetSystem:
 def interlacement_matrix(b: SignedRotation) -> SymMatrixGF2:
     """Chord interlacement: C_uv = 1 iff chords u, v alternate around the
     cycle; a diagonal 1 marks a nonorientable chord."""
-    pos = b.positions()
+    chords = b.chords()
     rows = [0] * b.e
-    for u in range(b.e):
-        if not b.is_orientable(u):
+    for u, (p1, p2, orientable) in enumerate(chords):
+        if not orientable:
             rows[u] |= 1 << u
-        p1, p2 = pos[u]
         for v in range(u + 1, b.e):
-            q1, q2 = pos[v]
+            q1, q2, _ = chords[v]
             if (p1 < q1 < p2) != (p1 < q2 < p2):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
@@ -240,8 +227,4 @@ def partial_duality_polynomial(b: SignedRotation) -> WidthPolynomial:
 
 def edge_table(b: SignedRotation) -> list[tuple[int, int, int, bool]]:
     """(label, first position, second position, orientable) per edge."""
-    pos = b.positions()
-    return [
-        (b.labels[edge], pos[edge][0], pos[edge][1], b.is_orientable(edge))
-        for edge in range(b.e)
-    ]
+    return [(b.labels[edge], *chord) for edge, chord in enumerate(b.chords())]

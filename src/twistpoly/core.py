@@ -168,36 +168,29 @@ def loops_coloops(d: SetSystem) -> tuple[int, int]:
     return d.full_mask & ~union, inter
 
 
-def _drop_index(mask: int, e: int) -> int:
-    """Remove bit e and shift higher bits down (gap-free re-indexing)."""
-    low = mask & ((1 << e) - 1)
-    high = (mask >> (e + 1)) << e
-    return low | high
-
-
 def delete(d: SetSystem, e: int) -> SetSystem:
-    """Delete element e; surviving elements are re-indexed downward."""
+    """Delete element e: contract it if it is a coloop, else drop the sets
+    containing it; surviving elements are re-indexed downward."""
     if not 0 <= e < d.n:
         raise ValueError(f"element {e} out of range for ground set of size {d.n}")
-    be = 1 << e
-    coloop = all(f & be for f in d.feasible)
-    if coloop:
-        kept = [f ^ be for f in d.feasible]
-    else:
-        kept = [f for f in d.feasible if not f & be]
-    fam = tuple(sorted(_drop_index(f, e) for f in kept))
-    return SetSystem(d.n - 1, fam)
+    return restrict(d, d.full_mask ^ (1 << e))
 
 
 def restrict(d: SetSystem, a: int) -> SetSystem:
-    """Restriction D|_A: delete every element outside A."""
+    """Restriction D|_A: the feasible sets that meet E - A in the fewest
+    elements, cut down to A and re-indexed gap-free.  On a delta-matroid
+    this equals deleting the elements outside A one at a time, in any
+    order.  On other set systems such deletion can depend on the order,
+    and this can differ from deleting from high to low."""
     if not 0 <= a <= d.full_mask:
         raise ValueError(f"restriction mask {a} out of range")
-    out = d
+    out = d.full_mask ^ a
+    least = min(((f & out).bit_count() for f in d.feasible), default=0)
+    kept = {f for f in d.feasible if (f & out).bit_count() == least}
     for e in range(d.n - 1, -1, -1):  # high to low keeps lower indices stable
-        if not (a >> e) & 1:
-            out = delete(out, e)
-    return out
+        if (out >> e) & 1:
+            kept = {f & ((1 << e) - 1) | (f >> (e + 1)) << e for f in kept}
+    return SetSystem(a.bit_count(), tuple(sorted(kept)))
 
 
 class Predicates(NamedTuple):

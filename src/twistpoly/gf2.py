@@ -136,28 +136,28 @@ def matrix_of_normal(d: SetSystem) -> SymMatrixGF2:
     return SymMatrixGF2(d.n, tuple(rows))
 
 
-def is_normal_binary(d: SetSystem) -> bool:
-    """Is d exactly D(C) for some symmetric GF(2) matrix C?
-
-    Decided by round trip: reconstruct the candidate matrix and compare
-    the delta-matroid it induces against d.
-    """
+def _binary_matrix(d: SetSystem) -> SymMatrixGF2 | None:
+    """The C with D(C) = d, or None if d is not normal binary: reconstruct
+    the candidate matrix and compare the delta-matroid it induces with d."""
     if not d.feasible or d.feasible[0] != 0:
-        return False
+        return None
     check_enum_size(d.n)
-    return delta_matroid_of_matrix(matrix_of_normal(d)) == d
+    c = matrix_of_normal(d)
+    return c if delta_matroid_of_matrix(c) == d else None
+
+
+def is_normal_binary(d: SetSystem) -> bool:
+    """Is d exactly D(C) for some symmetric GF(2) matrix C?"""
+    return _binary_matrix(d) is not None
 
 
 def intersection_graph(d: SetSystem) -> SymMatrixGF2:
     """Intersection graph of a normal binary delta-matroid, as its
     adjacency matrix C: u ~ v iff C_uv = 1, and a diagonal bit is a loop,
     so loops sit exactly at the odd (singleton-feasible) elements."""
-    if d.feasible and d.feasible[0] == 0:
-        check_enum_size(d.n)
-        c = matrix_of_normal(d)
-        if delta_matroid_of_matrix(c) == d:
-            return c
-    raise ValueError("intersection graph requires a normal binary delta-matroid")
+    if (c := _binary_matrix(d)) is None:
+        raise ValueError("intersection graph requires a normal binary delta-matroid")
+    return c
 
 
 class GraphProperties(NamedTuple):
@@ -169,53 +169,42 @@ class GraphProperties(NamedTuple):
     coloring: tuple[int, int] | None
 
 
-def _component_complete(rows: tuple[int, ...], comp: tuple[int, ...]) -> bool:
-    mask = 0
-    for v in comp:
-        mask |= 1 << v
-    return all((rows[v] | (1 << v)) & mask == mask for v in comp)
-
-
 def graph_predicates(g: SymMatrixGF2) -> GraphProperties:
-    """Bipartiteness (a loop forces false) with a 2-coloring witness,
-    connected components, and the complete / complete-of-odd-order
-    component predicates of the graph with adjacency matrix ``g``."""
-    n = g.n
+    """Bipartiteness with a 2-coloring witness, connected components, and
+    the complete / complete-of-odd-order component predicates, from one BFS
+    by layers of vertex masks.  Each component grows from its least unseen
+    vertex and its even layers form part X.  The graph is bipartite iff no
+    vertex has a neighbour on its own side, a vertex counting as its own
+    neighbour, so a loop forces false."""
     rows = g.rows
-    color = [-1] * n
-    bipartite = all(not (rows[v] >> v) & 1 for v in range(n))
     comps = []
-    for start in range(n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = [start]
-        comp = [start]
-        while queue:
-            u = queue.pop()
-            nb = rows[u] & ~(1 << u)
-            while nb:
-                low = nb & -nb
-                nb ^= low
-                v = low.bit_length() - 1
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    comp.append(v)
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    bipartite = False
-        comps.append(tuple(sorted(comp)))
-    components = tuple(comps)
-    complete_flags = [_component_complete(rows, comp) for comp in components]
-    is_complete = len(components) <= 1 and all(complete_flags)
-    all_odd = all(
-        flag and len(comp) % 2 == 1 for flag, comp in zip(complete_flags, components)
+    x = 0
+    unseen = (1 << g.n) - 1
+    while unseen:
+        layer = unseen & -unseen
+        comp, even = 0, True
+        while layer:
+            comp |= layer
+            if even:
+                x |= layer
+            reach = 0
+            for v in iter_elements(layer):
+                reach |= rows[v]
+            layer, even = reach & ~comp, not even
+        unseen ^= comp
+        comps.append(comp)
+    y = x ^ ((1 << g.n) - 1)
+    bipartite = not any(r & (x if (x >> v) & 1 else y) for v, r in enumerate(rows))
+    complete = [
+        all((rows[v] | 1 << v) & comp == comp for v in iter_elements(comp)) for comp in comps
+    ]
+    return GraphProperties(
+        bipartite,
+        tuple(tuple(iter_elements(comp)) for comp in comps),
+        len(comps) <= 1 and all(complete),
+        all(flag and comp.bit_count() % 2 for flag, comp in zip(complete, comps)),
+        (x, y) if bipartite else None,
     )
-    coloring = None
-    if bipartite:
-        x = sum(1 << v for v in range(n) if color[v] == 0)
-        coloring = x, ((1 << n) - 1) & ~x
-    return GraphProperties(bipartite, components, is_complete, all_odd, coloring)
 
 
 def two_coloring(g: SymMatrixGF2) -> tuple[int, int] | None:

@@ -22,6 +22,7 @@ from typing import Iterator
 
 from .core import (
     SetSystem,
+    check_enum_size,
     direct_sum,
     is_delta_matroid,
     iter_elements,
@@ -33,6 +34,7 @@ from .core import (
 from .bouquet import (
     SignedRotation,
     canonical_bouquet,
+    check_edge_count,
     delta_matroid_of_bouquet,
     euler_genus,
     interlacement_matrix,
@@ -406,6 +408,7 @@ def check_interlacement_oracle(
     produce the same feasible sets, and the full-subgraph Euler genus must
     equal the delta-matroid width.  Exhaustive up to min(e_max, 4), then
     ``trials`` random rotations with up to e_max edges."""
+    check_edge_count(e_max)  # before any rotation is drawn
     rep = VerificationReport("interlacement-oracle", seed=seed)
 
     def verify(rot: SignedRotation, check_axiom: bool) -> None:
@@ -463,6 +466,7 @@ def check_fast_naive_equivalence(
     """The BFS polynomial path must agree bit-exactly with the definition:
     on every delta-matroid with n <= 4, then on ``trials`` random ones with
     n = n_random."""
+    check_enum_size(n_random)  # before any random matrix is drawn
     rep = VerificationReport("fast-naive", seed=seed)
     for n in range(_BOUNDS["all-delta-matroids"] + 1):
         for d in all_delta_matroids(n):

@@ -36,8 +36,7 @@ def test_parse_figure_rotation():
     rot = parse_signed_rotation("(-1, -2, 3, 4, 2, 1, 3, 4)")
     assert rot.e == 4
     assert rot.labels == (1, 2, 3, 4)
-    assert [rot.is_orientable(i) for i in range(4)] == [False, False, True, True]
-    assert rot.positions() == [(0, 5), (1, 4), (2, 6), (3, 7)]
+    assert rot.chords() == [(0, 5, False), (1, 4, False), (2, 6, True), (3, 7, True)]
     assert str(rot) == "-1 -2 3 4 2 1 3 4"
 
 
@@ -45,7 +44,7 @@ def test_parse_whitespace_form():
     assert parse_signed_rotation("-1 -2 3 4 2 1 3 4") == parse_signed_rotation(
         "(-1, -2, 3, 4, 2, 1, 3, 4)"
     )
-    assert ANNULUS.e == 1 and ANNULUS.is_orientable(0)
+    assert ANNULUS.e == 1 and ANNULUS.chords() == [(0, 1, True)]
     # labels re-indexed by first appearance: 7 before 2
     rot = parse_signed_rotation("7 2 7 2")
     assert rot.labels == (7, 2)

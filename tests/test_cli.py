@@ -283,3 +283,29 @@ def test_large_sizes_exit_2_under_a_memory_cap(tmp_path, command, text):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "suite, max_n, error",
+    [
+        ("interlacement", 17, "17 edges exceed the supported limit of 16"),
+        ("interlacement", 10**9, "1000000000 edges exceed the supported limit of 16"),
+        ("fastnaive", 17, "ground set of size 17 exceeds the enumeration limit of 16"),
+        ("fastnaive", 10**5, "ground set of size 100000 exceeds the enumeration limit of 16"),
+    ],
+    ids=["interlacement-17", "interlacement-1e9", "fastnaive-17", "fastnaive-1e5"],
+)
+def test_verify_refuses_large_sizes_before_sweeping(suite, max_n, error):
+    start = time.perf_counter()
+    proc = _python(
+        ["-m", "twistpoly.cli", "verify", "--suite", suite, "--max-n", str(max_n)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {error}\n"
+    assert elapsed < 5.0

@@ -23,7 +23,7 @@ from twistpoly.core import (
     rho,
     twist,
 )
-from twistpoly.verify import all_delta_matroids, random_delta_matroid
+from twistpoly.verify import all_delta_matroids, all_set_systems, random_delta_matroid
 
 REMARK = SetSystem.from_sets(2, [[0], [1]])  # ({1,2}, {{1},{2}}) 0-indexed
 PAIR = SetSystem.from_sets(2, [[], [0, 1]])
@@ -151,6 +151,31 @@ def test_restrict_examples():
     assert restrict(REMARK, 0b10) == SetSystem.from_sets(1, [[0]])
     assert restrict(REMARK, 0b11) == REMARK
     assert restrict(PAIR, 0) == TRIVIAL
+
+
+def test_delete_matches_its_definition_on_every_small_set_system():
+    """A coloop is contracted, otherwise the sets containing e are dropped;
+    the elements above e move down by one."""
+    for n in range(4):
+        for d in all_set_systems(n):
+            for e in range(n):
+                coloop = all((f >> e) & 1 for f in d.feasible)
+                kept = [f for f in d.feasible if coloop or not (f >> e) & 1]
+                fam = {
+                    mask_of(i - (i > e) for i in core.iter_elements(f) if i != e) for f in kept
+                }
+                assert delete(d, e) == SetSystem.from_masks(n - 1, fam)
+
+
+def test_restrict_equals_deletions_from_high_to_low_on_delta_matroids():
+    for n in range(5):
+        for d in all_delta_matroids(n):
+            for a in range(1 << n):
+                chain = d
+                for e in range(n - 1, -1, -1):
+                    if not (a >> e) & 1:
+                        chain = delete(chain, e)
+                assert restrict(d, a) == chain
 
 
 def test_loops_coloops():

@@ -176,6 +176,38 @@ def test_two_coloring():
             assert all(c.rows[v] & (x if (x >> v) & 1 else y) == 0 for v in range(5))
 
 
+def test_graph_predicates_against_brute_force():
+    """Every looped graph with n <= 4 against the definitions: 2-colourings
+    by enumeration, components as reachability classes, and completeness
+    as every pair of distinct vertices in a component being adjacent."""
+    for n in range(5):
+        for c in every_symmetric_matrix(n):
+            edges = [(u, v) for u in range(n) for v in range(u, n) if (c.rows[u] >> v) & 1]
+            proper = [
+                x for x in range(1 << n) if all((x >> u) & 1 != (x >> v) & 1 for u, v in edges)
+            ]
+            reach = [1 << v for v in range(n)]
+            for _ in range(n):
+                for u, v in edges:
+                    reach[u] |= reach[v]
+                    reach[v] |= reach[u]
+            classes = sorted({tuple(core.iter_elements(r)) for r in reach})
+            complete = [all((c.rows[u] >> v) & 1 for u, v in combinations(k, 2)) for k in classes]
+            props = graph_predicates(c)
+            assert props.is_bipartite == bool(proper)
+            if proper:
+                x, y = props.coloring
+                assert x in proper and y == ((1 << n) - 1) ^ x
+                assert all((x >> k[0]) & 1 for k in classes)
+            else:
+                assert props.coloring is None
+            assert props.components == tuple(classes)
+            assert props.is_complete == (len(classes) <= 1 and all(complete))
+            assert props.all_components_complete_odd == all(
+                flag and len(k) % 2 for flag, k in zip(complete, classes)
+            )
+
+
 GF2_TEXT = """3
 011
 101
