@@ -151,16 +151,32 @@ def boundary_components(b: SignedRotation, a: int) -> int:
     """
     if not 0 <= a <= b.full_mask:
         raise ValueError(f"edge mask {a} out of range")
+    return _trace(_chord_table(b), a)
+
+
+def _chord_table(b: SignedRotation) -> list[tuple[int, int, int, bool]]:
+    """Per edge: the mask of its two positions, the masks of the positions
+    below each of them, and whether it is orientable."""
+    return [
+        ((1 << p) | (1 << q), (1 << p) - 1, (1 << q) - 1, orientable)
+        for p, q, orientable in b.chords()
+    ]
+
+
+def _trace(table: list[tuple[int, int, int, bool]], a: int) -> int:
+    """boundary_components of edge set a, from the rotation's chord table."""
     if a == 0:
         return 1
-    kept = [p for p, (edge, _) in enumerate(b.seq) if (a >> edge) & 1]
-    m = 2 * len(kept)
-    left = dict(zip(kept, range(0, m, 2)))  # trace point 2i of the i-th kept position
-    chords = b.chords()
+    chosen = [table[edge] for edge in iter_elements(a)]
+    kept = 0
+    for positions, _, _, _ in chosen:
+        kept |= positions
+    m = 2 * kept.bit_count()
     emate = [0] * m
-    for edge in iter_elements(a):
-        p, q, orientable = chords[edge]
-        i, j = left[p], left[q]
+    for _, below_p, below_q, orientable in chosen:
+        # a kept position's index i is the number of kept positions below it
+        i = 2 * (kept & below_p).bit_count()
+        j = 2 * (kept & below_q).bit_count()
         if orientable:
             emate[i], emate[j + 1], emate[i + 1], emate[j] = j + 1, i, j, i + 1
         else:
@@ -191,11 +207,12 @@ def delta_matroid_of_bouquet(b: SignedRotation) -> SetSystem:
 
     In a bouquet every subgraph is spanning and connected, so quasi-trees
     are exactly the subsets with f = 1; the empty set always qualifies.
-    This is the oracle for D(interlacement_matrix(b)), which is the same
-    family.
+    The chord table is built once and every subset is traced from it, as
+    boundary_components traces one.  This is the oracle for
+    D(interlacement_matrix(b)), which is the same family.
     """
-    fam = tuple(a for a in range(1 << b.e) if boundary_components(b, a) == 1)
-    return SetSystem(b.e, fam)
+    table = _chord_table(b)
+    return SetSystem(b.e, tuple(a for a in range(1 << b.e) if _trace(table, a) == 1))
 
 
 def interlacement_matrix(b: SignedRotation) -> SymMatrixGF2:

@@ -11,6 +11,7 @@ from concurrent workers without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple
 
 # Enumeration-dependent operations walk all 2^n subsets and refuse larger
@@ -50,6 +51,13 @@ def iter_elements(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def set_bits(bits: int) -> Iterator[int]:
+    """Indices of the set bits of ``bits``, ascending.  One pass over its
+    binary text: for a 2^n-bit int this is far cheaper than iter_elements,
+    which does big-int arithmetic per bit."""
+    return compress(count(), format(bits, "b")[::-1].encode().replace(b"0", b"\0"))
 
 
 def tile_bits(block: int, period: int, size: int) -> int:

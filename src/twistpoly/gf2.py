@@ -16,10 +16,11 @@ subset and is kept as its oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple
 
-from .core import MAX_GROUND, ParseError, SetSystem, check_enum_size, iter_elements, tile_bits
+from .core import (
+    MAX_GROUND, ParseError, SetSystem, check_enum_size, iter_elements, set_bits, tile_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ def dc_bits(matrix: SymMatrixGF2) -> int:
 def delta_matroid_of_matrix(c: SymMatrixGF2) -> SetSystem:
     """D(C): feasible sets are the A with C[A] nonsingular (C[∅] is
     nonsingular by convention); always normal."""
-    flags = format(dc_bits(c), "b")[::-1].encode().replace(b"0", b"\0")
-    return SetSystem(c.n, tuple(compress(range(1 << c.n), flags)))
+    return SetSystem(c.n, tuple(set_bits(dc_bits(c))))
 
 
 def matrix_of_normal(d: SetSystem) -> SymMatrixGF2:

@@ -9,13 +9,18 @@ counterexample list is empty.
 
 Every check takes one size, the value ``verify --max-n`` sets, and works
 out any other size from it or from its family's bound in ``_BOUNDS``.
+The random sweeps also refuse sizes past their running-time bound in
+``_WORK_BOUNDS``, before anything is drawn.
+
+The delta-matroids are found in one bitwise pass over all families and
+streamed, not cached: the module keeps no state between checks, so a
+sweep costs the same in a fresh process as in a reused one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from random import Random
 from typing import Iterator
@@ -29,6 +34,8 @@ from .core import (
     min_max_parts,
     restrict,
     rho,
+    set_bits,
+    tile_bits,
     twist,
 )
 from .bouquet import (
@@ -64,6 +71,13 @@ _BOUNDS = {
     "all-simple-graphs": 6,
     # e = 5 alone has 30240 rotations
     "all-signed-rotations": 4,
+}
+
+# The random sweeps refuse sizes whose run would take more than about two
+# minutes (measured on a shared 2-core VM; README, --max-n).
+_WORK_BOUNDS = {
+    "random-delta-matroids": 14,
+    "random-signed-rotations": 13,
 }
 
 
@@ -102,7 +116,8 @@ class VerificationReport:
         return f"THEOREM {self.theorem} {status} checked={self.checked} seed={seed}"
 
     def render(self) -> str:
-        lines = [self.machine_line() + f" elapsed={self.elapsed:.2f}s"]
+        rate = self.checked / self.elapsed if self.elapsed else 0.0
+        lines = [self.machine_line() + f" elapsed={self.elapsed:.2f}s rate={rate:.0f}/s"]
         lines.extend(f"  note: {n}" for n in self.notes)
         lines.extend(f"  counterexample: {c}" for c in self.counterexamples)
         if self._suppressed:
@@ -115,6 +130,12 @@ def _check_family_bound(kind: str, n: int) -> None:
         raise ValueError(f"{kind} enumeration bounded at {_BOUNDS[kind]}, got {n}")
 
 
+def _check_work_bound(kind: str, n: int) -> None:
+    bound = _WORK_BOUNDS[kind]
+    if n > bound:
+        raise ValueError(f"{kind} sweep bounded at {bound} by its running time, got {n}")
+
+
 def all_set_systems(n: int) -> Iterator[SetSystem]:
     """All proper set systems on {0..n-1}: 2^(2^n) - 1 of them."""
     _check_family_bound("all-set-systems", n)
@@ -124,21 +145,48 @@ def all_set_systems(n: int) -> Iterator[SetSystem]:
         yield SetSystem(n, tuple(list(iter_elements(fb))))
 
 
-@lru_cache(maxsize=None)
-def _delta_matroid_families(n: int) -> tuple[tuple[int, ...], ...]:
-    _check_family_bound("all-delta-matroids", n)
-    return tuple(s.feasible for s in all_set_systems(n) if is_delta_matroid(s))
+def _delta_matroid_bits(n: int) -> int:
+    """Every family on {0..n-1} at once: bit φ is set iff the family φ
+    (bit A of φ marks A feasible) is a delta-matroid.
+
+    z[A] has bit φ set iff A ∈ φ, so a statement about feasible sets is a
+    bitwise formula over all families.  φ breaks the exchange axiom iff
+    for some X and u and some S ⊆ E − u, X and Y = X△u△S are feasible
+    (so X△Y = {u} ∪ S) while X△u and every X△u△v with v ∈ S are not.
+    """
+    _check_family_bound("all-delta-matroids", n)  # before any 2^(2^n)-bit mask
+    subsets = 1 << n
+    size = 1 << subsets
+    z = [tile_bits(((1 << (1 << a)) - 1) << (1 << a), 2 << a, size) for a in range(subsets)]
+    broken = 0
+    for x in range(subsets):
+        for u in range(n):
+            xu = x ^ (1 << u)
+            lacks = z[x] & ~z[xu]
+            for s in range(subsets):
+                if (s >> u) & 1:
+                    continue
+                violated = lacks & z[xu ^ s]
+                for v in iter_elements(s):
+                    violated &= ~z[xu ^ (1 << v)]
+                broken |= violated
+    # the empty family (φ = 0) is not a delta-matroid
+    return ((1 << size) - 2) & ~broken
 
 
 def all_delta_matroids(n: int) -> Iterator[SetSystem]:
-    """All delta-matroids on {0..n-1}, by filtering every proper family
-    through the exchange axiom."""
-    for fam in _delta_matroid_families(n):
-        yield SetSystem(n, fam)
+    """All delta-matroids on {0..n-1}, in the order of all_set_systems.
+
+    They are read off the set bits of one family bitset, one at a time;
+    the quantifier loop of core.is_delta_matroid is the oracle of that
+    bitset in the tests.
+    """
+    for fb in set_bits(_delta_matroid_bits(n)):
+        yield SetSystem(n, tuple(list(iter_elements(fb))))
 
 
 def count_delta_matroids(n: int) -> int:
-    return len(_delta_matroid_families(n))
+    return _delta_matroid_bits(n).bit_count()
 
 
 def _symmetric_from_bits(n: int, bits: int, zero_diagonal: bool) -> SymMatrixGF2:
@@ -409,6 +457,7 @@ def check_interlacement_oracle(
     equal the delta-matroid width.  Exhaustive up to min(e_max, 4), then
     ``trials`` random rotations with up to e_max edges."""
     check_edge_count(e_max)  # before any rotation is drawn
+    _check_work_bound("random-signed-rotations", e_max)
     rep = VerificationReport("interlacement-oracle", seed=seed)
 
     def verify(rot: SignedRotation, check_axiom: bool) -> None:
@@ -467,6 +516,7 @@ def check_fast_naive_equivalence(
     on every delta-matroid with n <= 4, then on ``trials`` random ones with
     n = n_random."""
     check_enum_size(n_random)  # before any random matrix is drawn
+    _check_work_bound("random-delta-matroids", n_random)
     rep = VerificationReport("fast-naive", seed=seed)
     for n in range(_BOUNDS["all-delta-matroids"] + 1):
         for d in all_delta_matroids(n):

@@ -143,6 +143,17 @@ def test_tracing_matches_interlacement_exhaustive_small():
             assert partial_duality_polynomial(rot) == twist_polynomial_fast(traced)
 
 
+def test_whole_family_tracing_matches_subset_tracing():
+    # delta_matroid_of_bouquet traces from one chord table per rotation,
+    # boundary_components from a fresh one per call
+    rng = Random(83)
+    rots = [rot for e in range(1, 5) for rot in all_signed_rotations(e)]
+    rots += [random_signed_rotation(rng.randint(1, 8), rng) for _ in range(200)]
+    for rot in rots:
+        want = tuple(a for a in range(1 << rot.e) if boundary_components(rot, a) == 1)
+        assert delta_matroid_of_bouquet(rot).feasible == want, str(rot)
+
+
 def test_equal_interlacement_gives_equal_polynomial():
     a = parse_signed_rotation("1 1 2 2")
     b = parse_signed_rotation("1 2 2 1")

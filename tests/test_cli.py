@@ -292,8 +292,16 @@ def test_large_sizes_exit_2_under_a_memory_cap(tmp_path, command, text):
         ("interlacement", 10**9, "1000000000 edges exceed the supported limit of 16"),
         ("fastnaive", 17, "ground set of size 17 exceeds the enumeration limit of 16"),
         ("fastnaive", 10**5, "ground set of size 100000 exceeds the enumeration limit of 16"),
+        # within the enumeration limit, but past the running-time bound
+        ("interlacement", 14,
+         "random-signed-rotations sweep bounded at 13 by its running time, got 14"),
+        ("fastnaive", 15, "random-delta-matroids sweep bounded at 14 by its running time, got 15"),
+        ("fastnaive", 16, "random-delta-matroids sweep bounded at 14 by its running time, got 16"),
     ],
-    ids=["interlacement-17", "interlacement-1e9", "fastnaive-17", "fastnaive-1e5"],
+    ids=[
+        "interlacement-17", "interlacement-1e9", "fastnaive-17", "fastnaive-1e5",
+        "interlacement-14", "fastnaive-15", "fastnaive-16",
+    ],
 )
 def test_verify_refuses_large_sizes_before_sweeping(suite, max_n, error):
     start = time.perf_counter()
@@ -309,3 +317,20 @@ def test_verify_refuses_large_sizes_before_sweeping(suite, max_n, error):
     assert proc.stdout == ""
     assert proc.stderr == f"error: {error}\n"
     assert elapsed < 5.0
+
+
+def test_delta_matroid_bound_is_checked_before_any_family_mask():
+    # one family mask at n = 5 would hold 2^32 bits (512 MB)
+    code = (
+        "from twistpoly.verify import all_delta_matroids, count_delta_matroids\n"
+        "for call in (lambda: count_delta_matroids(5), lambda: next(all_delta_matroids(5))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = _python(
+        ["-c", code], capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "all-delta-matroids enumeration bounded at 4, got 5\n" * 2

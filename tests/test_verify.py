@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from random import Random
 
 import pytest
@@ -52,16 +53,11 @@ def test_delta_matroid_counts():
 
 
 def test_enumeration_matches_public_axiom_check():
-    for n in range(4):
-        expected = {s.feasible for s in all_set_systems(n) if is_delta_matroid(s)}
-        got = {d.feasible for d in all_delta_matroids(n)}
-        assert got == expected
-
-
-def test_enumeration_sample_agrees_at_n4():
-    rng = Random(71)
-    fams = list(all_delta_matroids(4))
-    assert all(is_delta_matroid(d) for d in rng.sample(fams, 200))
+    # the quantifier loop is the oracle of the family bitset, in order; n = 4
+    # filters all 65,535 set systems
+    for n in range(5):
+        expected = [s.feasible for s in all_set_systems(n) if is_delta_matroid(s)]
+        assert [d.feasible for d in all_delta_matroids(n)] == expected, n
 
 
 def test_delta_matroid_family_closed_under_twist():
@@ -131,8 +127,13 @@ def test_report_lines():
     assert rep.machine_line() == "THEOREM demo FAIL checked=5 seed=3"
     assert "bad instance" in rep.render()
     assert rep.done() is rep and rep.elapsed > 0
+    first = rep.render().split("\n")[0]
+    assert re.fullmatch(r"THEOREM demo FAIL checked=5 seed=3 elapsed=\d+\.\d\ds rate=\d+/s", first)
+    rep.elapsed = 0.5
+    assert rep.render().startswith("THEOREM demo FAIL checked=5 seed=3 elapsed=0.50s rate=10/s\n")
     blank = VerificationReport("x")
     assert blank.machine_line() == "THEOREM x FAIL checked=0 seed=-"
+    assert blank.render() == "THEOREM x FAIL checked=0 seed=- elapsed=0.00s rate=0/s"
 
 
 def test_report_counterexample_cap():
