@@ -106,28 +106,6 @@ def parse_signed_rotation(text: str) -> SignedRotation:
         raise ParseError(str(exc)) from None
 
 
-def rotation_from_pairing(
-    pairs: list[tuple[int, int]], orientable_bits: int
-) -> SignedRotation:
-    """Build a rotation from half-edge position pairs plus orientability bits.
-
-    Pairs are re-ordered by first position so edge i is the i-th chord to
-    appear; bit i of ``orientable_bits`` makes chord i orientable.
-    """
-    pairs = sorted((min(p, q), max(p, q)) for p, q in pairs)
-    e = len(pairs)
-    seq: list[tuple[int, int]] = [(-1, 0)] * (2 * e)
-    for edge, (p, q) in enumerate(pairs):
-        if seq[p][0] != -1 or seq[q][0] != -1 or p == q:
-            raise ValueError("positions must form a perfect matching")
-        sign = 1 if (orientable_bits >> edge) & 1 else -1
-        seq[p] = (edge, 1)
-        seq[q] = (edge, sign)
-    if any(edge < 0 for edge, _ in seq):
-        raise ValueError("positions must cover 0..2e-1")
-    return SignedRotation(tuple(seq), tuple(range(1, e + 1)))
-
-
 def canonical_bouquet(t: int) -> SignedRotation:
     """The bouquet with rotation (1, 2, ..., t, 1, 2, ..., t), all orientable."""
     if t < 1:
@@ -217,17 +195,15 @@ def delta_matroid_of_bouquet(b: SignedRotation) -> SetSystem:
 
 def interlacement_matrix(b: SignedRotation) -> SymMatrixGF2:
     """Chord interlacement: C_uv = 1 iff chords u, v alternate around the
-    cycle; a diagonal 1 marks a nonorientable chord."""
-    chords = b.chords()
-    rows = [0] * b.e
-    for u, (p1, p2, orientable) in enumerate(chords):
-        if not orientable:
-            rows[u] |= 1 << u
-        for v in range(u + 1, b.e):
-            q1, q2, _ = chords[v]
-            if (p1 < q1 < p2) != (p1 < q2 < p2):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+    cycle, that is iff exactly one end of v lies strictly between the ends
+    of u; a diagonal 1 marks a nonorientable chord."""
+    # inside[x]: the edges with exactly one end at a position below x
+    inside = [0]
+    for edge, _ in b.seq:
+        inside.append(inside[-1] ^ 1 << edge)
+    rows = []
+    for u, (p, q, orientable) in enumerate(b.chords()):
+        rows.append(inside[q] ^ inside[p + 1] | (0 if orientable else 1 << u))
     return SymMatrixGF2(b.e, tuple(rows))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from operator import methodcaller
 from pathlib import Path
 
@@ -116,15 +117,9 @@ def _cmd_twist_poly(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_from_matrix(args: argparse.Namespace) -> int:
-    c = parse_gf2(_read(args.file))
-    sys.stdout.write(format_dm(delta_matroid_of_matrix(c)))
-    return 0
-
-
-def _cmd_from_graph(args: argparse.Namespace) -> int:
-    g = parse_graph(_read(args.file))
-    sys.stdout.write(format_dm(delta_matroid_of_matrix(g)))
+def _cmd_from_matrix(parse, args: argparse.Namespace) -> int:
+    """D(C) of the matrix that ``parse`` reads from the file (.gf2 or .graph)."""
+    sys.stdout.write(format_dm(delta_matroid_of_matrix(parse(_read(args.file)))))
     return 0
 
 
@@ -200,8 +195,10 @@ _COMMANDS = (
     ("check", "validate a .dm file and report its predicates", _add_file, _cmd_check),
     ("twist", "twist a .dm file by an element set", _add_twist, _cmd_twist),
     ("twist-poly", "twist polynomial of a .dm file", _add_twist_poly, _cmd_twist_poly),
-    ("from-matrix", "delta-matroid of a .gf2 matrix file", _add_file, _cmd_from_matrix),
-    ("from-graph", "delta-matroid of a .graph adjacency file", _add_file, _cmd_from_graph),
+    ("from-matrix", "delta-matroid of a .gf2 matrix file", _add_file,
+     partial(_cmd_from_matrix, parse_gf2)),
+    ("from-graph", "delta-matroid of a .graph adjacency file", _add_file,
+     partial(_cmd_from_matrix, parse_graph)),
     ("from-bouquet", "delta-matroid of a signed rotation",
      methodcaller("add_argument", "rotation",
                   help='e.g. "(-1, -2, 3, 4, 2, 1, 3, 4)" or "1 2 1 2"'),

@@ -106,10 +106,8 @@ class SetSystem:
         return (1 << self.n) - 1
 
     def __str__(self) -> str:
-        fam = ", ".join(
-            "{" + ",".join(str(e) for e in iter_elements(m)) + "}" if m else "{}"
-            for m in self.feasible
-        )
+        # masks_text writes the empty set as "-", shown here as "{}"
+        fam = ", ".join("{" + text.strip("-") + "}" for text in masks_text(self.feasible))
         return f"({{0..{self.n - 1}}}, [{fam}])" if self.n else f"(∅, [{fam}])"
 
 

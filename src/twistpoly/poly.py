@@ -89,8 +89,7 @@ class WidthPolynomial:
 
 def width(d: SetSystem) -> int:
     """max feasible size - min feasible size; zero exactly for matroids."""
-    sizes = [f.bit_count() for f in d.feasible]
-    return max(sizes) - min(sizes)
+    return twist_width(d, 0)
 
 
 def twist_width(d: SetSystem, a: int) -> int:

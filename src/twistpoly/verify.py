@@ -23,9 +23,10 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain
 from random import Random
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .core import (
+    MAX_ENUM_GROUND,
     SetSystem,
     check_enum_size,
     direct_sum,
@@ -45,8 +46,6 @@ from .bouquet import (
     delta_matroid_of_bouquet,
     euler_genus,
     interlacement_matrix,
-    partial_duality_polynomial,
-    rotation_from_pairing,
 )
 from .gf2 import (
     GraphProperties,
@@ -128,6 +127,13 @@ class VerificationReport:
 def _check_family_bound(kind: str, n: int) -> None:
     if n > _BOUNDS[kind]:
         raise ValueError(f"{kind} enumeration bounded at {_BOUNDS[kind]}, got {n}")
+
+
+def _sweep_sizes(kind: str, n_max: int) -> range:
+    """Sizes 0..n_max of a sweep over one family.  Past the family's bound it
+    fails before any work, as the sweep would at the first size past it."""
+    _check_family_bound(kind, min(n_max, _BOUNDS[kind] + 1))
+    return range(n_max + 1)
 
 
 def _check_work_bound(kind: str, n: int) -> None:
@@ -236,20 +242,29 @@ def _pairings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
             yield ((a, b),) + tail
 
 
+def _rotation(pairs: Sequence[tuple[int, int]], orientable_bits: int) -> SignedRotation:
+    """The rotation with a chord per position pair.  Edges are numbered by first
+    position, as parsing numbers them; bit i of orientable_bits orients edge i."""
+    seq = [(0, 0)] * (2 * len(pairs))
+    for edge, (p, q) in enumerate(sorted((min(p, q), max(p, q)) for p, q in pairs)):
+        seq[p] = (edge, 1)
+        seq[q] = (edge, 1 if (orientable_bits >> edge) & 1 else -1)
+    return SignedRotation(tuple(seq), tuple(range(1, len(pairs) + 1)))
+
+
 def all_signed_rotations(e: int) -> Iterator[SignedRotation]:
     """All chord diagrams on 2e points times all orientability patterns:
     (2e-1)!! * 2^e rotations."""
     _check_family_bound("all-signed-rotations", e)
     for pairing in _pairings(tuple(range(2 * e))):
         for bits in range(1 << e):
-            yield rotation_from_pairing(list(pairing), bits)
+            yield _rotation(pairing, bits)
 
 
 def random_signed_rotation(e: int, rng: Random) -> SignedRotation:
     spots = list(range(2 * e))
     rng.shuffle(spots)
-    pairs = [(spots[2 * i], spots[2 * i + 1]) for i in range(e)]
-    return rotation_from_pairing(pairs, rng.getrandbits(e))
+    return _rotation([(spots[2 * i], spots[2 * i + 1]) for i in range(e)], rng.getrandbits(e))
 
 
 def random_delta_matroid(n: int, rng: Random) -> SetSystem:
@@ -275,6 +290,20 @@ def interleaved_genus_closed_form(t: int) -> WidthPolynomial:
     return WidthPolynomial.from_counts(counts)
 
 
+def _check_closed_form(
+    theorem: str, name: str, t_max: int, polynomial: Callable[[int], WidthPolynomial]
+) -> VerificationReport:
+    """The polynomial of each name_t, t = 1..t_max, against the closed form."""
+    rep = VerificationReport(theorem)
+    for t in range(1, t_max + 1):
+        rep.checked += 1
+        got = polynomial(t)
+        want = interleaved_genus_closed_form(t)
+        if got != want:
+            rep.fail(f"{name}_{t}: {got} != {want}")
+    return rep.done()
+
+
 # --- checks -------------------------------------------------------------------
 
 
@@ -284,7 +313,7 @@ def check_prop2(n_max: int = 4) -> VerificationReport:
     rep = VerificationReport("prop2")
     ref = SetSystem.from_sets(2, [[0], [1]])
     ref_poly = twist_polynomial_fast(ref)
-    for n in range(0, n_max + 1):
+    for n in _sweep_sizes("all-delta-matroids", n_max):
         for d in all_delta_matroids(n):
             rep.checked += 1
             p = twist_polynomial_fast(d)
@@ -305,35 +334,30 @@ def check_prop2(n_max: int = 4) -> VerificationReport:
 
 
 def check_lemma4(t_max: int = 12) -> VerificationReport:
-    """Fully interleaved bouquets match their closed-form genus polynomial."""
-    rep = VerificationReport("lemma4")
-    for t in range(1, t_max + 1):
-        rep.checked += 1
-        got = partial_duality_polynomial(canonical_bouquet(t))
-        want = interleaved_genus_closed_form(t)
-        if got != want:
-            rep.fail(f"B_{t}: {got} != {want}")
-    return rep.done()
+    """Fully interleaved bouquets, traced, match their closed-form genus
+    polynomial.  Their interlacement matrix is K_t: prop1 is the algebraic route."""
+    check_edge_count(min(t_max, MAX_ENUM_GROUND + 1))  # before any bouquet is traced
+    return _check_closed_form(
+        "lemma4", "B", t_max,
+        lambda t: twist_polynomial_fast(delta_matroid_of_bouquet(canonical_bouquet(t))),
+    )
 
 
 def check_prop1(v_max: int = 12) -> VerificationReport:
     """Complete intersection graphs: D(K_v adjacency) matches the same
     closed form as the interleaved bouquets."""
-    rep = VerificationReport("prop1")
-    for v in range(1, v_max + 1):
-        rep.checked += 1
-        got = twist_polynomial_fast(delta_matroid_of_matrix(complete_graph_matrix(v)))
-        want = interleaved_genus_closed_form(v)
-        if got != want:
-            rep.fail(f"K_{v}: {got} != {want}")
-    return rep.done()
+    check_enum_size(min(v_max, MAX_ENUM_GROUND + 1))  # before any D(K_v) is built
+    return _check_closed_form(
+        "prop1", "K", v_max,
+        lambda v: twist_polynomial_fast(delta_matroid_of_matrix(complete_graph_matrix(v))),
+    )
 
 
 def check_constant_iff_single(n_max: int = 4) -> VerificationReport:
     """The twist polynomial is a nonzero constant iff there is exactly one
     feasible set."""
     rep = VerificationReport("constant-iff-single")
-    for n in range(0, n_max + 1):
+    for n in _sweep_sizes("all-delta-matroids", n_max):
         for d in all_delta_matroids(n):
             rep.checked += 1
             p = twist_polynomial_fast(d)
@@ -350,7 +374,7 @@ def check_lemma5_and_lemma2(n_max: int = 4) -> VerificationReport:
     the split, as it must.
     """
     rep = VerificationReport("lemma5-lemma2")
-    for n in range(0, n_max + 1):
+    for n in _sweep_sizes("all-delta-matroids", n_max):
         for d in all_delta_matroids(n):
             rep.checked += 1
             full = d.full_mask
@@ -404,7 +428,7 @@ def check_bipartite_constant_term(n_max: int = 6) -> VerificationReport:
     intersection graph is bipartite; on bipartite instances the 2-coloring
     is checked to witness a width-zero twist."""
     rep = VerificationReport("bipartite-constant")
-    for n in range(n_max + 1):
+    for n in _sweep_sizes("all-simple-graphs", n_max):
         for c in all_simple_graph_matrices(n):
             if (graph := _binary_graph(rep, c)) is None:
                 continue
@@ -487,8 +511,8 @@ def check_interlacement_oracle(
 
 def check_same_interlacement_pairs(e: int = 4, min_pairs: int = 20) -> VerificationReport:
     """Distinct rotations with equal interlacement matrices must have equal
-    partial-duality polynomials; enumerates all rotations with min(e, 4)
-    edges."""
+    partial-duality polynomials, each traced on its own ribbon graph;
+    enumerates all rotations with min(e, 4) edges."""
     rep = VerificationReport("same-interlacement-pairs")
     buckets: dict[tuple[int, ...], list[SignedRotation]] = {}
     for rot in all_signed_rotations(min(e, _BOUNDS["all-signed-rotations"])):
@@ -497,10 +521,10 @@ def check_same_interlacement_pairs(e: int = 4, min_pairs: int = 20) -> Verificat
     for rots in buckets.values():
         if len(rots) < 2:
             continue
-        base = partial_duality_polynomial(rots[0])
+        base = twist_polynomial_fast(delta_matroid_of_bouquet(rots[0]))
         for other in rots[1:]:
             pairs += 1
-            got = partial_duality_polynomial(other)
+            got = twist_polynomial_fast(delta_matroid_of_bouquet(other))
             if got != base:
                 rep.fail(f"{rots[0]} vs {other}: {base} != {got}")
     rep.checked = pairs

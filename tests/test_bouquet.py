@@ -17,11 +17,11 @@ from twistpoly.bouquet import (
     interlacement_matrix,
     parse_signed_rotation,
     partial_duality_polynomial,
-    rotation_from_pairing,
 )
 from twistpoly.gf2 import SymMatrixGF2, delta_matroid_of_matrix
 from twistpoly.poly import twist_polynomial_fast, width
 from twistpoly.verify import (
+    _rotation,
     all_signed_rotations,
     complete_graph_matrix,
     random_signed_rotation,
@@ -102,10 +102,32 @@ def test_interlacement_matrix_examples():
     assert interlacement_matrix(MOBIUS) == SymMatrixGF2(1, (1,))
 
 
+def _alternating_rows(rot):
+    """Interlacement by the definition: chords (p1, p2) and (q1, q2)
+    alternate iff exactly one of q1, q2 lies between p1 and p2."""
+    chords = rot.chords()
+    rows = []
+    for u, (p1, p2, orientable) in enumerate(chords):
+        row = 0 if orientable else 1 << u
+        for v, (q1, q2, _) in enumerate(chords):
+            if (p1 < q1 < p2) != (p1 < q2 < p2):
+                row |= 1 << v
+        rows.append(row)
+    return tuple(rows)
+
+
+def test_interlacement_matrix_matches_alternation_definition():
+    rng = Random(89)
+    rots = [rot for e in range(1, 5) for rot in all_signed_rotations(e)]
+    rots += [random_signed_rotation(rng.randint(1, 16), rng) for _ in range(2000)]
+    for rot in rots:
+        assert interlacement_matrix(rot).rows == _alternating_rows(rot), str(rot)
+
+
 def test_canonical_bouquet():
     assert str(canonical_bouquet(2)) == "1 2 1 2"
     assert str(canonical_bouquet(1)) == "1 1"
-    for t in range(1, 8):
+    for t in range(1, 13):
         assert interlacement_matrix(canonical_bouquet(t)) == complete_graph_matrix(t)
     with pytest.raises(ValueError):
         canonical_bouquet(0)
@@ -158,18 +180,16 @@ def test_equal_interlacement_gives_equal_polynomial():
     a = parse_signed_rotation("1 1 2 2")
     b = parse_signed_rotation("1 2 2 1")
     assert interlacement_matrix(a) == interlacement_matrix(b)
-    assert partial_duality_polynomial(a) == partial_duality_polynomial(b)
+    traced_a = twist_polynomial_fast(delta_matroid_of_bouquet(a))
+    assert traced_a == twist_polynomial_fast(delta_matroid_of_bouquet(b))
+    assert traced_a == partial_duality_polynomial(a) == partial_duality_polynomial(b)
 
 
 def test_rotation_from_pairing():
-    rot = rotation_from_pairing([(0, 2), (1, 3)], 0b11)
+    rot = _rotation([(0, 2), (1, 3)], 0b11)
     assert str(rot) == "1 2 1 2"
-    flipped = rotation_from_pairing([(0, 2), (1, 3)], 0b00)
+    flipped = _rotation([(0, 2), (1, 3)], 0b00)
     assert str(flipped) == "1 2 -1 -2"
-    with pytest.raises(ValueError):
-        rotation_from_pairing([(0, 0), (1, 2)], 0)
-    with pytest.raises(ValueError):
-        rotation_from_pairing([(0, 1), (0, 2)], 0)
 
 
 def test_edge_table():

@@ -297,10 +297,17 @@ def test_large_sizes_exit_2_under_a_memory_cap(tmp_path, command, text):
          "random-signed-rotations sweep bounded at 13 by its running time, got 14"),
         ("fastnaive", 15, "random-delta-matroids sweep bounded at 14 by its running time, got 15"),
         ("fastnaive", 16, "random-delta-matroids sweep bounded at 14 by its running time, got 16"),
+        # past a family's bound: refused at the first size past it, before sweeping
+        ("prop2", 5, "all-delta-matroids enumeration bounded at 4, got 5"),
+        ("lemma5", 8, "all-delta-matroids enumeration bounded at 4, got 5"),
+        ("bipartite", 8, "all-simple-graphs enumeration bounded at 6, got 7"),
+        ("lemma4", 10**9, "17 edges exceed the supported limit of 16"),
+        ("all", 17, "all-delta-matroids enumeration bounded at 4, got 5"),
     ],
     ids=[
         "interlacement-17", "interlacement-1e9", "fastnaive-17", "fastnaive-1e5",
         "interlacement-14", "fastnaive-15", "fastnaive-16",
+        "prop2-5", "lemma5-8", "bipartite-8", "lemma4-1e9", "all-17",
     ],
 )
 def test_verify_refuses_large_sizes_before_sweeping(suite, max_n, error):

@@ -189,6 +189,58 @@ def test_interlacement_oracle_reports_non_delta_matroid(monkeypatch):
     assert "is not a delta-matroid" in rep.render()
 
 
+def _full_set_when_edge_0_is_a_loop(real):
+    """delta_matroid_of_bouquet, but {∅, E} where the first two half-edges
+    are edge 0's, as in "1 1 2 2" and not in "1 2 2 1": the fault depends on
+    the rotation, not on its interlacement matrix."""
+
+    def fake(rot):
+        return SetSystem(rot.e, (0, rot.full_mask)) if rot.seq[1][0] == 0 else real(rot)
+
+    return fake
+
+
+def test_traced_checks_report_a_broken_tracer(monkeypatch):
+    real = verify.delta_matroid_of_bouquet
+    monkeypatch.setattr(verify, "delta_matroid_of_bouquet", _full_set_when_edge_0_is_a_loop(real))
+    lemma4 = check_lemma4()
+    assert lemma4.checked == 12 and not lemma4.passed
+    assert lemma4.counterexamples == ["B_1: 2z != 2"]
+    for e, pairs in ((3, 56), (4, 848)):
+        rep = check_same_interlacement_pairs(e)
+        assert rep.checked == pairs and not rep.passed
+        assert all(" vs " in c for c in rep.counterexamples)
+
+
+def _unreachable(*args):
+    raise AssertionError("an instance was built before the size check")
+
+
+@pytest.mark.parametrize(
+    "suite, max_n, error",
+    [
+        ("prop2", 5, "all-delta-matroids enumeration bounded at 4, got 5"),
+        ("prop2", 17, "all-delta-matroids enumeration bounded at 4, got 5"),
+        ("constant", 8, "all-delta-matroids enumeration bounded at 4, got 5"),
+        ("lemma5", 8, "all-delta-matroids enumeration bounded at 4, got 5"),
+        ("bipartite", 8, "all-simple-graphs enumeration bounded at 6, got 7"),
+        ("lemma4", 17, "17 edges exceed the supported limit of 16"),
+        ("lemma4", 10**9, "17 edges exceed the supported limit of 16"),
+        ("prop1", 10**9, "ground set of size 17 exceeds the enumeration limit of 16"),
+        ("all", 8, "all-delta-matroids enumeration bounded at 4, got 5"),
+    ],
+    ids=["prop2-5", "prop2-17", "constant-8", "lemma5-8", "bipartite-8", "lemma4-17",
+         "lemma4-1e9", "prop1-1e9", "all-8"],
+)
+def test_oversize_sweeps_are_refused_before_any_instance(monkeypatch, suite, max_n, error):
+    # the error names the first size past the bound, as the sweep would meet it
+    for name in ("all_delta_matroids", "all_simple_graph_matrices",
+                 "delta_matroid_of_bouquet", "delta_matroid_of_matrix"):
+        monkeypatch.setattr(verify, name, _unreachable)
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        run_suite(suite, max_n)
+
+
 # (THEOREM id, checked=, PASS) of `verify --suite all --seed 2` per --max-n
 SUITE_ALL_AT = {
     3: [
