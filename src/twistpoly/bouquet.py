@@ -19,7 +19,7 @@ from .core import MAX_ENUM_GROUND, ParseError, SetSystem, UnsupportedSizeError, 
 from .gf2 import SymMatrixGF2, dc_bits
 from .poly import WidthPolynomial, twist_polynomial_of_bits
 
-_TOKEN = re.compile(r"-?\d+")
+_TOKEN = re.compile(r"-?[0-9]+")
 
 
 def check_edge_count(e: int) -> None:
@@ -83,7 +83,7 @@ def parse_signed_rotation(text: str) -> SignedRotation:
     if stripped.startswith("(") and stripped.endswith(")"):
         stripped = stripped[1:-1]
     cleaned = stripped.replace(",", " ")
-    if re.search(r"[^-\d\s]", cleaned):
+    if re.search(r"[^-0-9\s]", cleaned):
         raise ParseError(f"malformed rotation {text!r}")
     tokens = cleaned.split()
     if not tokens:

@@ -23,6 +23,7 @@ from .bouquet import (
 )
 from .core import (
     ParseError,
+    ascii_int,
     format_dm,
     is_delta_matroid,
     loops_coloops,
@@ -56,7 +57,7 @@ def _parse_index_set(text: str, n: int) -> int:
     mask = 0
     for tok in text.split(","):
         try:
-            e = int(tok)
+            e = ascii_int(tok)
         except ValueError:
             raise ParseError(f"malformed element index {tok!r}") from None
         if not 0 <= e < n:

@@ -30,6 +30,14 @@ class ParseError(ValueError):
     """Raised on malformed text input (.dm files, rotations, ...)."""
 
 
+def ascii_int(tok: str) -> int:
+    """int(tok) for ASCII decimal digits with surrounding whitespace only."""
+    digits = tok.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII decimal integer: {tok!r}")
+    return int(digits)
+
+
 def check_enum_size(n: int) -> None:
     if n > MAX_ENUM_GROUND:
         raise UnsupportedSizeError(
@@ -258,6 +266,9 @@ def parse_dm(text: str) -> SetSystem:
         raise ParseError("feasible family must be nonempty (k >= 1)")
     if len(lines) != 2 + k:
         raise ParseError(f"expected {k} feasible-set lines, found {len(lines) - 2}")
+    # int() also reads "+", "-", "_" and non-ASCII digits; without them it is exact and faster
+    exact = text.isascii() and "+" not in text and "_" not in text
+    to_int = int if exact and text.count("-") == lines.count("-") else ascii_int
     masks = []
     for ln in lines[2:]:
         if ln == "-":
@@ -267,7 +278,7 @@ def parse_dm(text: str) -> SetSystem:
         prev = -1
         for tok in ln.split(","):
             try:
-                e = int(tok)
+                e = to_int(tok)
             except ValueError:
                 raise ParseError(f"malformed element index {tok!r}") from None
             if e <= prev:

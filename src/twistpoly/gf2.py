@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
-    MAX_GROUND, ParseError, SetSystem, check_enum_size, iter_elements, set_bits, tile_bits,
+    MAX_GROUND, ParseError, SetSystem, ascii_int, check_enum_size, iter_elements, set_bits,
+    tile_bits,
 )
 
 
@@ -258,11 +259,8 @@ def parse_graph(text: str) -> SymMatrixGF2:
     check_enum_size(n)  # a graph is read only to build D(C); refuse before the rows
     rows = [0] * n
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"malformed edge line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(ascii_int, ln.split())  # two tokens, or ValueError
         except ValueError:
             raise ParseError(f"malformed edge line {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):

@@ -9,8 +9,8 @@ counterexample list is empty.
 
 Every check takes one size, the value ``verify --max-n`` sets, and works
 out any other size from it or from its family's bound in ``_BOUNDS``.
-The random sweeps also refuse sizes past their running-time bound in
-``_WORK_BOUNDS``, before anything is drawn.
+A random check also takes a seed; ``_RANDOM`` fixes its draw count and
+its largest size, past which it refuses to run before drawing anything.
 
 The delta-matroids are found in one bitwise pass over all families and
 streamed, not cached: the module keeps no state between checks, so a
@@ -72,11 +72,12 @@ _BOUNDS = {
     "all-signed-rotations": 4,
 }
 
-# The random sweeps refuse sizes whose run would take more than about two
-# minutes (measured on a shared 2-core VM; README, --max-n).
-_WORK_BOUNDS = {
-    "random-delta-matroids": 14,
-    "random-signed-rotations": 13,
+# (largest size, draws) per random sweep: past its largest size a run would
+# take over about two minutes (measured on a shared 2-core VM; README, --max-n).
+_RANDOM = {
+    "random-delta-matroids": (14, 500),
+    "random-signed-rotations": (13, 10_000),
+    "random-simple-graphs": (7, 100_000),
 }
 
 
@@ -129,17 +130,19 @@ def _check_family_bound(kind: str, n: int) -> None:
         raise ValueError(f"{kind} enumeration bounded at {_BOUNDS[kind]}, got {n}")
 
 
-def _sweep_sizes(kind: str, n_max: int) -> range:
-    """Sizes 0..n_max of a sweep over one family.  Past the family's bound it
-    fails before any work, as the sweep would at the first size past it."""
+def _sweep(kind: str, family: Callable[[int], Iterator], n_max: int) -> Iterator:
+    """Every instance of sizes 0..n_max of one family.  Past the family's bound
+    it fails before any work, as the sweep would at the first size past it."""
     _check_family_bound(kind, min(n_max, _BOUNDS[kind] + 1))
-    return range(n_max + 1)
+    return (x for n in range(n_max + 1) for x in family(n))
 
 
-def _check_work_bound(kind: str, n: int) -> None:
-    bound = _WORK_BOUNDS[kind]
+def _check_work_bound(kind: str, n: int) -> int:
+    """The draw count of a random sweep at size n, refused past its largest size."""
+    bound, draws = _RANDOM[kind]
     if n > bound:
         raise ValueError(f"{kind} sweep bounded at {bound} by its running time, got {n}")
+    return draws
 
 
 def all_set_systems(n: int) -> Iterator[SetSystem]:
@@ -313,23 +316,22 @@ def check_prop2(n_max: int = 4) -> VerificationReport:
     rep = VerificationReport("prop2")
     ref = SetSystem.from_sets(2, [[0], [1]])
     ref_poly = twist_polynomial_fast(ref)
-    for n in _sweep_sizes("all-delta-matroids", n_max):
-        for d in all_delta_matroids(n):
-            rep.checked += 1
-            p = twist_polynomial_fast(d)
-            if p.eval_at_1 != 1 << n:
-                rep.fail(f"eval at 1: D={d}: {p.eval_at_1} != {1 << n}")
-            for a in range(1 << n):
-                pa = twist_polynomial_fast(twist(d, a))
-                if pa != p:
-                    rep.fail(f"twist invariance: D={d}, A={a:#b}: {pa} != {p}")
-                    break
-            psum = twist_polynomial_fast(direct_sum(d, ref))
-            if psum != p * ref_poly:
-                rep.fail(f"sum with reference: D={d}: {psum} != {p * ref_poly}")
-            pself = twist_polynomial_fast(direct_sum(d, d))
-            if pself != p * p:
-                rep.fail(f"sum with self: D={d}: {pself} != {p * p}")
+    for d in _sweep("all-delta-matroids", all_delta_matroids, n_max):
+        rep.checked += 1
+        p = twist_polynomial_fast(d)
+        if p.eval_at_1 != 1 << d.n:
+            rep.fail(f"eval at 1: D={d}: {p.eval_at_1} != {1 << d.n}")
+        for a in range(1 << d.n):
+            pa = twist_polynomial_fast(twist(d, a))
+            if pa != p:
+                rep.fail(f"twist invariance: D={d}, A={a:#b}: {pa} != {p}")
+                break
+        psum = twist_polynomial_fast(direct_sum(d, ref))
+        if psum != p * ref_poly:
+            rep.fail(f"sum with reference: D={d}: {psum} != {p * ref_poly}")
+        pself = twist_polynomial_fast(direct_sum(d, d))
+        if pself != p * p:
+            rep.fail(f"sum with self: D={d}: {pself} != {p * p}")
     return rep.done()
 
 
@@ -357,12 +359,11 @@ def check_constant_iff_single(n_max: int = 4) -> VerificationReport:
     """The twist polynomial is a nonzero constant iff there is exactly one
     feasible set."""
     rep = VerificationReport("constant-iff-single")
-    for n in _sweep_sizes("all-delta-matroids", n_max):
-        for d in all_delta_matroids(n):
-            rep.checked += 1
-            p = twist_polynomial_fast(d)
-            if p.is_constant != (len(d.feasible) == 1):
-                rep.fail(f"D={d}: constant={p.is_constant}, |F|={len(d.feasible)}")
+    for d in _sweep("all-delta-matroids", all_delta_matroids, n_max):
+        rep.checked += 1
+        p = twist_polynomial_fast(d)
+        if p.is_constant != (len(d.feasible) == 1):
+            rep.fail(f"D={d}: constant={p.is_constant}, |F|={len(d.feasible)}")
     return rep.done()
 
 
@@ -374,27 +375,26 @@ def check_lemma5_and_lemma2(n_max: int = 4) -> VerificationReport:
     the split, as it must.
     """
     rep = VerificationReport("lemma5-lemma2")
-    for n in _sweep_sizes("all-delta-matroids", n_max):
-        for d in all_delta_matroids(n):
-            rep.checked += 1
-            full = d.full_mask
-            dmin, _ = min_max_parts(d)
-            r_min = dmin.feasible[0].bit_count()
-            null_e = n - r_min
-            restricted_width = [0] * (1 << n)
-            for a in range(1 << n):
-                wa = width(restrict(d, a))
-                restricted_width[a] = wa
-                ra = max((a & b).bit_count() for b in dmin.feasible)
-                rhs = rho(d, a) - ra - null_e + (a.bit_count() - ra)
-                if wa != rhs:
-                    rep.fail(f"restriction width identity: D={d}, A={a:#b}: {wa} != {rhs}")
-            if d.feasible[0] == 0:
-                for a in range(1 << n):
-                    lhs = twist_width(d, a)
-                    rhs = restricted_width[a] + restricted_width[full ^ a]
-                    if lhs != rhs:
-                        rep.fail(f"twist-width split: D={d}, A={a:#b}: {lhs} != {rhs}")
+    for d in _sweep("all-delta-matroids", all_delta_matroids, n_max):
+        rep.checked += 1
+        full = d.full_mask
+        dmin, _ = min_max_parts(d)
+        r_min = dmin.feasible[0].bit_count()
+        null_e = d.n - r_min
+        restricted_width = [0] * (1 << d.n)
+        for a in range(1 << d.n):
+            wa = width(restrict(d, a))
+            restricted_width[a] = wa
+            ra = max((a & b).bit_count() for b in dmin.feasible)
+            rhs = rho(d, a) - ra - null_e + (a.bit_count() - ra)
+            if wa != rhs:
+                rep.fail(f"restriction width identity: D={d}, A={a:#b}: {wa} != {rhs}")
+        if d.feasible[0] == 0:
+            for a in range(1 << d.n):
+                lhs = twist_width(d, a)
+                rhs = restricted_width[a] + restricted_width[full ^ a]
+                if lhs != rhs:
+                    rep.fail(f"twist-width split: D={d}, A={a:#b}: {lhs} != {rhs}")
     remark = SetSystem.from_sets(2, [[0], [1]])
     lhs = twist_width(remark, 1)
     rhs = width(restrict(remark, 1)) + width(restrict(remark, 2))
@@ -428,26 +428,25 @@ def check_bipartite_constant_term(n_max: int = 6) -> VerificationReport:
     intersection graph is bipartite; on bipartite instances the 2-coloring
     is checked to witness a width-zero twist."""
     rep = VerificationReport("bipartite-constant")
-    for n in _sweep_sizes("all-simple-graphs", n_max):
-        for c in all_simple_graph_matrices(n):
-            if (graph := _binary_graph(rep, c)) is None:
-                continue
-            d, p, props = graph
-            if (p.constant_term > 0) != props.is_bipartite:
+    for c in _sweep("all-simple-graphs", all_simple_graph_matrices, n_max):
+        if (graph := _binary_graph(rep, c)) is None:
+            continue
+        d, p, props = graph
+        if (p.constant_term > 0) != props.is_bipartite:
+            rep.fail(
+                f"C={c.rows}: constant term {p.constant_term}, "
+                f"bipartite={props.is_bipartite}"
+            )
+            continue
+        if props.is_bipartite and c.n:
+            x, y = props.coloring
+            wx = width(restrict(d, x))
+            wy = width(restrict(d, y))
+            if wx or wy or twist_width(d, x) != 0:
                 rep.fail(
-                    f"C={c.rows}: constant term {p.constant_term}, "
-                    f"bipartite={props.is_bipartite}"
+                    f"C={c.rows}: 2-coloring X={x:#b} gives widths "
+                    f"{wx}, {wy}, twist width {twist_width(d, x)}"
                 )
-                continue
-            if props.is_bipartite and n:
-                x, y = props.coloring
-                wx = width(restrict(d, x))
-                wy = width(restrict(d, y))
-                if wx or wy or twist_width(d, x) != 0:
-                    rep.fail(
-                        f"C={c.rows}: 2-coloring X={x:#b} gives widths "
-                        f"{wx}, {wy}, twist width {twist_width(d, x)}"
-                    )
     return rep.done()
 
 
@@ -458,8 +457,8 @@ def check_monomial_complete_odd(n_max: int = 7, seed: int = 0) -> VerificationRe
     rep = VerificationReport("monomial-complete-odd", seed=seed)
     bound = _BOUNDS["all-simple-graphs"]
     rng = Random(seed)
-    exhaustive = (c for n in range(min(n_max, bound) + 1) for c in all_simple_graph_matrices(n))
-    samples = 100_000 if n_max > bound else 0
+    exhaustive = _sweep("all-simple-graphs", all_simple_graph_matrices, min(n_max, bound))
+    samples = _check_work_bound("random-simple-graphs", bound + 1) if n_max > bound else 0
     sampled = (random_symmetric_matrix(bound + 1, rng, zero_diagonal=True) for _ in range(samples))
     for c in chain(exhaustive, sampled):
         if (graph := _binary_graph(rep, c)) is None:
@@ -473,15 +472,13 @@ def check_monomial_complete_odd(n_max: int = 7, seed: int = 0) -> VerificationRe
     return rep.done()
 
 
-def check_interlacement_oracle(
-    e_max: int = 8, trials: int = 10_000, seed: int = 0
-) -> VerificationReport:
+def check_interlacement_oracle(e_max: int = 8, seed: int = 0) -> VerificationReport:
     """Boundary tracing against interlacement linear algebra: both must
     produce the same feasible sets, and the full-subgraph Euler genus must
     equal the delta-matroid width.  Exhaustive up to min(e_max, 4), then
-    ``trials`` random rotations with up to e_max edges."""
+    10^4 random rotations with up to e_max edges."""
     check_edge_count(e_max)  # before any rotation is drawn
-    _check_work_bound("random-signed-rotations", e_max)
+    draws = _check_work_bound("random-signed-rotations", e_max) if e_max >= 1 else 0
     rep = VerificationReport("interlacement-oracle", seed=seed)
 
     def verify(rot: SignedRotation, check_axiom: bool) -> None:
@@ -502,14 +499,13 @@ def check_interlacement_oracle(
     for e in range(1, min(e_max, _BOUNDS["all-signed-rotations"]) + 1):
         for rot in all_signed_rotations(e):
             verify(rot, True)
-    if e_max >= 1:
-        rng = Random(seed)
-        for _ in range(trials):
-            verify(random_signed_rotation(rng.randint(1, e_max), rng), False)
+    rng = Random(seed)
+    for _ in range(draws):
+        verify(random_signed_rotation(rng.randint(1, e_max), rng), False)
     return rep.done()
 
 
-def check_same_interlacement_pairs(e: int = 4, min_pairs: int = 20) -> VerificationReport:
+def check_same_interlacement_pairs(e: int = 4) -> VerificationReport:
     """Distinct rotations with equal interlacement matrices must have equal
     partial-duality polynomials, each traced on its own ribbon graph;
     enumerates all rotations with min(e, 4) edges."""
@@ -517,38 +513,31 @@ def check_same_interlacement_pairs(e: int = 4, min_pairs: int = 20) -> Verificat
     buckets: dict[tuple[int, ...], list[SignedRotation]] = {}
     for rot in all_signed_rotations(min(e, _BOUNDS["all-signed-rotations"])):
         buckets.setdefault(interlacement_matrix(rot).rows, []).append(rot)
-    pairs = 0
     for rots in buckets.values():
         if len(rots) < 2:
             continue
         base = twist_polynomial_fast(delta_matroid_of_bouquet(rots[0]))
         for other in rots[1:]:
-            pairs += 1
+            rep.checked += 1
             got = twist_polynomial_fast(delta_matroid_of_bouquet(other))
             if got != base:
                 rep.fail(f"{rots[0]} vs {other}: {base} != {got}")
-    rep.checked = pairs
-    if pairs < min_pairs:
-        rep.fail(f"only {pairs} same-interlacement pairs found, need {min_pairs}")
     return rep.done()
 
 
-def check_fast_naive_equivalence(
-    n_random: int = 12, trials: int = 500, seed: int = 0
-) -> VerificationReport:
+def check_fast_naive_equivalence(n_random: int = 12, seed: int = 0) -> VerificationReport:
     """The BFS polynomial path must agree bit-exactly with the definition:
-    on every delta-matroid with n <= 4, then on ``trials`` random ones with
+    on every delta-matroid with n <= 4, then on 500 random ones with
     n = n_random."""
     check_enum_size(n_random)  # before any random matrix is drawn
-    _check_work_bound("random-delta-matroids", n_random)
+    draws = _check_work_bound("random-delta-matroids", n_random)
     rep = VerificationReport("fast-naive", seed=seed)
-    for n in range(_BOUNDS["all-delta-matroids"] + 1):
-        for d in all_delta_matroids(n):
-            rep.checked += 1
-            if twist_polynomial_fast(d) != twist_polynomial_naive(d):
-                rep.fail(f"D={d}")
+    for d in _sweep("all-delta-matroids", all_delta_matroids, _BOUNDS["all-delta-matroids"]):
+        rep.checked += 1
+        if twist_polynomial_fast(d) != twist_polynomial_naive(d):
+            rep.fail(f"D={d}")
     rng = Random(seed)
-    for _ in range(trials):
+    for _ in range(draws):
         d = random_delta_matroid(n_random, rng)
         rep.checked += 1
         fast = twist_polynomial_fast(d)

@@ -204,6 +204,37 @@ def test_verify_interlacement_at_max_n_zero(capsys):
     assert "THEOREM interlacement-oracle FAIL checked=0 seed=0" in capsys.readouterr().out
 
 
+def test_verify_interlacement_at_max_n_two(capsys):
+    # e = 2 has 4 same-interlacement pairs: they all agree, so the suite passes
+    assert run(["verify", "--suite", "interlacement", "--max-n", "2"]) == 0
+    assert "THEOREM same-interlacement-pairs PASS checked=4 seed=-" in capsys.readouterr().out
+
+
+# int() reads each bad token (as 1, 0, 10, 2 or -1); a token is ASCII decimal
+# digits, with surrounding whitespace (any, as int() strips) and, in a rotation, a sign
+@pytest.mark.parametrize(
+    "argv, text, bad, good",
+    [
+        (["check", "{file}"], "12\n1\n{tok}\n", ["+1", "-0", "1_0", "\u0662", "-1"],
+         "\u00a01, 10"),
+        (["twist", "{file}", "--set", "{tok}"], PAIR_DM, ["+1", "0_1", "\u0661"], " 1 "),
+        (["from-graph", "{file}"], "12\n0 {tok}\n", ["+1", "1_0"], "10"),
+        (["genus-poly", "{tok}"], "", ["\u0661 \u0662 \u0661 \u0662"], "-1 2 -1 2"),
+    ],
+    ids=["dm", "twist-set", "graph", "rotation"],
+)
+def test_integer_tokens_are_ascii_digits(tmp_path, capsys, argv, text, bad, good):
+    for tok in bad:
+        path = _write(tmp_path, "in.txt", text.format(tok=tok))
+        assert run([a.format(file=path, tok=tok) for a in argv]) == 2, tok
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), tok
+        assert captured.err.count("\n") == 1, tok
+    path = _write(tmp_path, "in.txt", text.format(tok=good))
+    assert run([a.format(file=path, tok=good) for a in argv]) == 0
+    capsys.readouterr()
+
+
 def test_check_single_empty_set_on_a_large_ground_set(tmp_path, capsys):
     n = 200_000
     path = _write(tmp_path, "big.dm", f"{n}\n1\n-\n")

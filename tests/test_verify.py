@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import re
 from random import Random
 
@@ -160,10 +161,18 @@ def test_small_checks_pass():
     assert rep.passed and any("violated as expected" in n for n in rep.notes)
     assert check_bipartite_constant_term(4).passed
     assert check_monomial_complete_odd(4).passed
-    assert check_interlacement_oracle(6, trials=200, seed=1).passed
-    rep = check_same_interlacement_pairs(3, min_pairs=5)
-    assert rep.passed and rep.checked >= 5
-    assert check_fast_naive_equivalence(8, trials=20, seed=1).passed
+    assert check_interlacement_oracle(6, seed=1).passed
+    rep = check_same_interlacement_pairs(3)
+    assert rep.passed and rep.checked == 56
+    assert check_fast_naive_equivalence(8, seed=1).passed
+
+
+def test_checks_take_their_size_and_seed_only():
+    # the draw counts are fixed in verify._RANDOM, not set per call
+    for checks in verify._SUITES.values():
+        for check in checks:
+            names = list(inspect.signature(check).parameters)
+            assert names[1:] == (["seed"] if check in verify._SEEDED else []), check
 
 
 def test_run_suite():
@@ -183,8 +192,8 @@ def test_interlacement_oracle_reports_non_delta_matroid(monkeypatch):
     assert not is_delta_matroid(bad)
     monkeypatch.setattr(verify, "delta_matroid_of_bouquet", lambda rot: bad)
     monkeypatch.setattr(verify, "delta_matroid_of_matrix", lambda c: bad)
-    rep = check_interlacement_oracle(2, trials=0)
-    assert rep.checked == 14 and not rep.passed
+    rep = check_interlacement_oracle(2)
+    assert rep.checked == 10_014 and not rep.passed
     assert "counterexample: rotation 1 1: " in rep.render()
     assert "is not a delta-matroid" in rep.render()
 
@@ -266,6 +275,31 @@ SUITE_ALL_AT = {
         ("monomial-complete-odd", 1, True),
         ("interlacement-oracle", 0, False),
         ("same-interlacement-pairs", 0, False),
+        ("fast-naive", 6633, True),
+    ],
+    # the pair check fails only when it found no pair: e <= 1 has none, e = 2 has 4
+    1: [
+        ("prop2", 4, True),
+        ("lemma4", 1, True),
+        ("lemma5-lemma2", 5, True),
+        ("prop1", 1, True),
+        ("constant-iff-single", 4, True),
+        ("bipartite-constant", 2, True),
+        ("monomial-complete-odd", 2, True),
+        ("interlacement-oracle", 10002, True),
+        ("same-interlacement-pairs", 0, False),
+        ("fast-naive", 6633, True),
+    ],
+    2: [
+        ("prop2", 19, True),
+        ("lemma4", 2, True),
+        ("lemma5-lemma2", 20, True),
+        ("prop1", 2, True),
+        ("constant-iff-single", 19, True),
+        ("bipartite-constant", 4, True),
+        ("monomial-complete-odd", 4, True),
+        ("interlacement-oracle", 10014, True),
+        ("same-interlacement-pairs", 4, True),
         ("fast-naive", 6633, True),
     ],
 }
