@@ -266,9 +266,6 @@ def parse_dm(text: str) -> SetSystem:
         raise ParseError("feasible family must be nonempty (k >= 1)")
     if len(lines) != 2 + k:
         raise ParseError(f"expected {k} feasible-set lines, found {len(lines) - 2}")
-    # int() also reads "+", "-", "_" and non-ASCII digits; without them it is exact and faster
-    exact = text.isascii() and "+" not in text and "_" not in text
-    to_int = int if exact and text.count("-") == lines.count("-") else ascii_int
     masks = []
     for ln in lines[2:]:
         if ln == "-":
@@ -278,7 +275,7 @@ def parse_dm(text: str) -> SetSystem:
         prev = -1
         for tok in ln.split(","):
             try:
-                e = to_int(tok)
+                e = ascii_int(tok)
             except ValueError:
                 raise ParseError(f"malformed element index {tok!r}") from None
             if e <= prev:

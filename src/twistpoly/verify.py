@@ -72,8 +72,9 @@ _BOUNDS = {
     "all-signed-rotations": 4,
 }
 
-# (largest size, draws) per random sweep: past its largest size a run would
-# take over about two minutes (measured on a shared 2-core VM; README, --max-n).
+# (largest size, draws) per random sweep.  Past its largest size a delta-matroid
+# or rotation run would take over about two minutes (measured on a shared 2-core
+# VM; README, --max-n); graphs are drawn only at _BOUNDS["all-simple-graphs"] + 1.
 _RANDOM = {
     "random-delta-matroids": (14, 500),
     "random-signed-rotations": (13, 10_000),
