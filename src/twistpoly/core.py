@@ -11,6 +11,7 @@ from concurrent workers without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple
 
@@ -30,6 +31,7 @@ class ParseError(ValueError):
     """Raised on malformed text input (.dm files, rotations, ...)."""
 
 
+@lru_cache(maxsize=1024)  # a .dm text repeats its few element tokens on every line
 def ascii_int(tok: str) -> int:
     """int(tok) for ASCII decimal digits with surrounding whitespace only."""
     digits = tok.strip()
