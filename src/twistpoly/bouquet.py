@@ -12,14 +12,13 @@ same delta-matroid taken as D(C) of the chord interlacement matrix C
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .core import MAX_ENUM_GROUND, ParseError, SetSystem, UnsupportedSizeError, iter_elements
+from .core import (
+    MAX_ENUM_GROUND, ParseError, SetSystem, UnsupportedSizeError, iter_elements, signed_int,
+)
 from .gf2 import SymMatrixGF2, dc_bits
 from .poly import WidthPolynomial, twist_polynomial_of_bits
-
-_TOKEN = re.compile(r"-?[0-9]+")
 
 
 def check_edge_count(e: int) -> None:
@@ -76,24 +75,22 @@ class SignedRotation:
 def parse_signed_rotation(text: str) -> SignedRotation:
     """Parse "(-1, -2, 3, 4, 2, 1, 3, 4)" or "-1 -2 3 4 2 1 3 4".
 
-    Labels are arbitrary positive integers, re-indexed to 0..e-1 in order
-    of first appearance.
+    Labels are positive integers read by ``core.signed_int``, re-indexed
+    to 0..e-1 in order of first appearance.
     """
     stripped = text.strip()
     if stripped.startswith("(") and stripped.endswith(")"):
         stripped = stripped[1:-1]
-    cleaned = stripped.replace(",", " ")
-    if re.search(r"[^-0-9\s]", cleaned):
-        raise ParseError(f"malformed rotation {text!r}")
-    tokens = cleaned.split()
+    tokens = stripped.replace(",", " ").split()
     if not tokens:
         raise ParseError("empty rotation")
     seq = []
     index: dict[int, int] = {}
     for tok in tokens:
-        if not _TOKEN.fullmatch(tok):
-            raise ParseError(f"malformed half-edge token {tok!r}")
-        value = int(tok)
+        try:
+            value = signed_int(tok)
+        except ValueError:
+            raise ParseError(f"malformed half-edge token {tok!r}") from None
         label = abs(value)
         if label == 0:
             raise ParseError("edge labels must be positive integers")

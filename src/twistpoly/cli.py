@@ -30,6 +30,7 @@ from .core import (
     masks_text,
     parse_dm,
     predicates,
+    signed_int,
     twist,
 )
 from .gf2 import (
@@ -183,6 +184,7 @@ def _add_twist_poly(p: argparse.ArgumentParser) -> None:
 
 
 def _add_verify(p: argparse.ArgumentParser) -> None:
+    p.register("type", int, signed_int)  # type=int reads by the signed token rule
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p.add_argument("--max-n", type=int, default=None,
                    help="override the suite's instance-size bound")

@@ -11,7 +11,6 @@ from concurrent workers without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress, count
 from typing import Iterable, Iterator, NamedTuple
 
@@ -19,9 +18,10 @@ from typing import Iterable, Iterator, NamedTuple
 # ground sets.  Structural operations (twist, direct sum, ...) have no such
 # limit.
 MAX_ENUM_GROUND = 16
-# Parsers refuse larger ground sets: a size costs memory before any set is
-# read (one bit per element in every mask, one row per vertex).
+# parse_dm refuses a ground set of n > MAX_GROUND elements, and k sets of n
+# bits with n*k > MAX_MASK_BITS (32 MB), before it reads any set.
 MAX_GROUND = 1_000_000
+MAX_MASK_BITS = 1 << 28
 
 class UnsupportedSizeError(ValueError):
     """Raised when a 2^n enumeration would exceed the supported envelope."""
@@ -31,13 +31,20 @@ class ParseError(ValueError):
     """Raised on malformed text input (.dm files, rotations, ...)."""
 
 
-@lru_cache(maxsize=1024)  # a .dm text repeats its few element tokens on every line
 def ascii_int(tok: str) -> int:
     """int(tok) for ASCII decimal digits with surrounding whitespace only."""
     digits = tok.strip()
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an ASCII decimal integer: {tok!r}")
     return int(digits)
+
+
+def signed_int(tok: str) -> int:
+    """ascii_int, negated for a "-" directly before the digits."""
+    text = tok.strip()
+    if text[:1] == "-" and text[1:2].isdigit():
+        return -ascii_int(text[1:])
+    return ascii_int(text)
 
 
 def check_enum_size(n: int) -> None:
@@ -256,36 +263,38 @@ def parse_dm(text: str) -> SetSystem:
     if len(lines) < 2:
         raise ParseError("expected at least two header lines (n and k)")
     try:
-        n = int(lines[0])
-        k = int(lines[1])
+        n = ascii_int(lines[0])
+        k = ascii_int(lines[1])
     except ValueError:
         raise ParseError(f"malformed header: {lines[0]!r} / {lines[1]!r}") from None
-    if n < 0:
-        raise ParseError("ground set size must be nonnegative")
     if n > MAX_GROUND:
         raise ParseError(f"ground set size {n} exceeds the limit of {MAX_GROUND}")
-    if k <= 0:
+    if k == 0:
         raise ParseError("feasible family must be nonempty (k >= 1)")
+    if n * k > MAX_MASK_BITS:
+        raise ParseError(f"n*k = {n * k} mask bits exceed the limit of {MAX_MASK_BITS}")
     if len(lines) != 2 + k:
         raise ParseError(f"expected {k} feasible-set lines, found {len(lines) - 2}")
+    bits: dict[str, int] = {}  # each token text's bit, range-checked when first seen
     masks = []
     for ln in lines[2:]:
         if ln == "-":
             masks.append(0)
             continue
         mask = 0
-        prev = -1
         for tok in ln.split(","):
-            try:
-                e = ascii_int(tok)
-            except ValueError:
-                raise ParseError(f"malformed element index {tok!r}") from None
-            if e <= prev:
+            bit = bits.get(tok)
+            if bit is None:
+                try:
+                    e = ascii_int(tok)
+                except ValueError:
+                    raise ParseError(f"malformed element index {tok!r}") from None
+                if e >= n:
+                    raise ParseError(f"element {e} out of range 0..{n - 1}")
+                bit = bits[tok] = 1 << e
+            if bit <= mask:  # ascending iff each bit exceeds the mask of those before it
                 raise ParseError(f"indices must be strictly ascending in line {ln!r}")
-            if not 0 <= e < n:
-                raise ParseError(f"element {e} out of range 0..{n - 1}")
-            mask |= 1 << e
-            prev = e
+            mask |= bit
         masks.append(mask)
     if len(set(masks)) != len(masks):
         raise ParseError("duplicate feasible sets")

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
-    MAX_GROUND, ParseError, SetSystem, ascii_int, check_enum_size, iter_elements, set_bits,
-    tile_bits,
+    ParseError, SetSystem, ascii_int, check_enum_size, iter_elements, set_bits, tile_bits,
 )
 
 
@@ -226,11 +225,9 @@ def parse_gf2(text: str) -> SymMatrixGF2:
     if not lines:
         raise ParseError("empty matrix file")
     try:
-        n = int(lines[0])
+        n = ascii_int(lines[0])
     except ValueError:
         raise ParseError(f"malformed size line {lines[0]!r}") from None
-    if n < 0:
-        raise ParseError("matrix size must be nonnegative")
     if len(lines) != 1 + n:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []
@@ -249,13 +246,9 @@ def parse_graph(text: str) -> SymMatrixGF2:
     if not lines:
         raise ParseError("empty graph file")
     try:
-        n = int(lines[0])
+        n = ascii_int(lines[0])
     except ValueError:
         raise ParseError(f"malformed vertex-count line {lines[0]!r}") from None
-    if n < 0:
-        raise ParseError("vertex count must be nonnegative")
-    if n > MAX_GROUND:
-        raise ParseError(f"vertex count {n} exceeds the limit of {MAX_GROUND}")
     check_enum_size(n)  # a graph is read only to build D(C); refuse before the rows
     rows = [0] * n
     for ln in lines[1:]:

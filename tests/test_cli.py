@@ -211,7 +211,8 @@ def test_verify_interlacement_at_max_n_two(capsys):
 
 
 # int() reads each bad token (as 1, 0, 10, 2 or -1); a token is ASCII decimal
-# digits, with surrounding whitespace (any, as int() strips) and, in a rotation, a sign
+# digits, with surrounding whitespace (any, as int() strips) and, in a rotation
+# or a flag value, a "-" directly before the digits
 @pytest.mark.parametrize(
     "argv, text, bad, good",
     [
@@ -220,13 +221,29 @@ def test_verify_interlacement_at_max_n_two(capsys):
         (["twist", "{file}", "--set", "{tok}"], PAIR_DM, ["+1", "0_1", "\u0661"], " 1 "),
         (["from-graph", "{file}"], "12\n0 {tok}\n", ["+1", "1_0"], "10"),
         (["genus-poly", "{tok}"], "", ["\u0661 \u0662 \u0661 \u0662"], "-1 2 -1 2"),
+        (["check", "{file}"], "{tok}\n1\n-\n", ["\u0662", "+2", "-2"], " 2 "),
+        (["check", "{file}"], "2\n{tok}\n-\n", ["+1", "\u0661", "-1"], "1"),
+        (["from-matrix", "{file}"], "{tok}\n01\n10\n", ["+2", "\u0662", "-2"], "2"),
+        (["from-graph", "{file}"], "{tok}\n0 1\n", ["1_0", "+10", "-10"], "10"),
+        (["verify", "--suite", "monomial", "--max-n", "{tok}", "--seed", "-3"], "",
+         ["+1_0", "\u0662", "- 5", "x"], "3"),
     ],
-    ids=["dm", "twist-set", "graph", "rotation"],
+    ids=["dm", "twist-set", "graph", "rotation", "dm-n", "dm-k", "gf2-size", "graph-count",
+         "verify-max-n"],
 )
 def test_integer_tokens_are_ascii_digits(tmp_path, capsys, argv, text, bad, good):
     for tok in bad:
         path = _write(tmp_path, "in.txt", text.format(tok=tok))
-        assert run([a.format(file=path, tok=tok) for a in argv]) == 2, tok
+        args = [a.format(file=path, tok=tok) for a in argv]
+        if argv[0] == "verify":  # argparse refuses a flag value after its usage text
+            with pytest.raises(SystemExit) as refused:
+                run(args)
+            assert refused.value.code == 2, tok
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("usage: "), tok
+            assert captured.err.endswith(f"argument --max-n: invalid int value: {tok!r}\n")
+            continue
+        assert run(args) == 2, tok
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), tok
         assert captured.err.count("\n") == 1, tok
@@ -296,8 +313,11 @@ def _limit_address_space():
         ("from-graph", "20000\n"),
         ("from-graph", "100000000000\n"),
         ("intersection-graph", "1000000\n1\n-\n"),
+        # 91 kB: one high element per line, each line a mask of 10^6 bits
+        ("check", "1000000\n13000\n" + "".join(f"{999_999 - i}\n" for i in range(13000))),
     ],
-    ids=["check-n1e11", "from-graph-20000", "from-graph-1e11", "intersection-graph-n1e6"],
+    ids=["check-n1e11", "from-graph-20000", "from-graph-1e11", "intersection-graph-n1e6",
+         "check-n1e6-k13000"],
 )
 def test_large_sizes_exit_2_under_a_memory_cap(tmp_path, command, text):
     path = _write(tmp_path, "big.in", text)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from random import Random
 
 import pytest
 
+import twistpoly
 from twistpoly import core
 from twistpoly.core import (
     SetSystem,
@@ -253,11 +256,33 @@ def test_parse_format_roundtrip():
         "2\n2\n0\n",  # missing line
         "x\n1\n-\n",  # malformed n
         "2\n1\na\n",  # malformed index
+        # a token read once is checked again for order where it recurs
+        "3\n2\n0,1\n2,1\n",  # out of order on a later line
+        "3\n2\n1\n1,1\n",  # repeated on a later line
+        "3\n2\n02\n0,2,02\n",  # two texts of one element
     ],
 )
 def test_parse_dm_rejects(text):
     with pytest.raises(core.ParseError):
         parse_dm(text)
+
+
+def test_parse_dm_bounds_the_mask_bits_of_its_header():
+    n = 1_000_000
+    k = core.MAX_MASK_BITS // n
+    lines = "".join(f"{e}\n" for e in range(k))
+    assert len(parse_dm(f"{n}\n{k}\n{lines}").feasible) == k
+    with pytest.raises(core.ParseError, match="mask bits exceed the limit"):
+        parse_dm(f"{n}\n{k + 1}\n{lines}{k}\n")
+
+
+def test_no_module_holds_a_functools_cache():
+    # lru_cache and cache wrappers carry cache_info; a module holding one keeps
+    # state between calls
+    for info in pkgutil.iter_modules(twistpoly.__path__):
+        module = importlib.import_module(f"twistpoly.{info.name}")
+        cached = [name for name, obj in vars(module).items() if hasattr(obj, "cache_info")]
+        assert cached == [], info.name
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 40])
