@@ -184,7 +184,8 @@ def _add_twist_poly(p: argparse.ArgumentParser) -> None:
 
 
 def _add_verify(p: argparse.ArgumentParser) -> None:
-    p.register("type", int, signed_int)  # type=int reads by the signed token rule
+    # type=int reads by signed_int, and a refused value still reads "invalid int value"
+    p.register("type", int, signed_int)
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p.add_argument("--max-n", type=int, default=None,
                    help="override the suite's instance-size bound")

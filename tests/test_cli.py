@@ -210,9 +210,9 @@ def test_verify_interlacement_at_max_n_two(capsys):
     assert "THEOREM same-interlacement-pairs PASS checked=4 seed=-" in capsys.readouterr().out
 
 
-# int() reads each bad token (as 1, 0, 10, 2 or -1); a token is ASCII decimal
-# digits, with surrounding whitespace (any, as int() strips) and, in a rotation
-# or a flag value, a "-" directly before the digits
+# int() reads each bad token but x and "- 5" (as 1, 0, 10, 2, -1, ...); a token
+# is ASCII decimal digits, with surrounding whitespace (any, as int() strips)
+# and, in a rotation or a flag value, a "-" directly before the digits
 @pytest.mark.parametrize(
     "argv, text, bad, good",
     [
