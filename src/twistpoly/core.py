@@ -275,7 +275,7 @@ def parse_dm(text: str) -> SetSystem:
         raise ParseError(f"n*k = {n * k} mask bits exceed the limit of {MAX_MASK_BITS}")
     if len(lines) != 2 + k:
         raise ParseError(f"expected {k} feasible-set lines, found {len(lines) - 2}")
-    bits: dict[str, int] = {}  # each token text's bit, range-checked when first seen
+    index: dict[str, int] = {}  # each token text's element (not its bit), checked when first seen
     masks = []
     for ln in lines[2:]:
         if ln == "-":
@@ -283,15 +283,16 @@ def parse_dm(text: str) -> SetSystem:
             continue
         mask = 0
         for tok in ln.split(","):
-            bit = bits.get(tok)
-            if bit is None:
+            e = index.get(tok)
+            if e is None:
                 try:
                     e = ascii_int(tok)
                 except ValueError:
                     raise ParseError(f"malformed element index {tok!r}") from None
                 if e >= n:
                     raise ParseError(f"element {e} out of range 0..{n - 1}")
-                bit = bits[tok] = 1 << e
+                index[tok] = e
+            bit = 1 << e
             if bit <= mask:  # ascending iff each bit exceeds the mask of those before it
                 raise ParseError(f"indices must be strictly ascending in line {ln!r}")
             mask |= bit

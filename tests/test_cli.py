@@ -336,6 +336,23 @@ def test_large_sizes_exit_2_under_a_memory_cap(tmp_path, command, text):
     assert elapsed < 1.0
 
 
+def test_one_line_of_many_high_elements_reads_under_a_memory_cap(tmp_path):
+    # 91 kB, one set of 13,000 elements near the top of n = 10^6: inside the
+    # n*k bound, and each element's bit is as large as the whole mask
+    text = "1000000\n1\n" + ",".join(str(e) for e in range(987_000, 1_000_000)) + "\n"
+    path = _write(tmp_path, "wide.dm", text)
+    proc = _python(
+        ["-m", "twistpoly.cli", "check", path],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n: 1000000\nfeasible sets: 1\ndelta-matroid\n")
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize(
     "suite, max_n, error",
     [
