@@ -14,16 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    MAX_ENUM_GROUND, ParseError, SetSystem, UnsupportedSizeError, iter_elements, signed_int,
-)
+from .core import ParseError, SetSystem, check_enum_size, iter_elements, signed_int
 from .gf2 import SymMatrixGF2, dc_bits
 from .poly import WidthPolynomial, twist_polynomial_of_bits
-
-
-def check_edge_count(e: int) -> None:
-    if e > MAX_ENUM_GROUND:
-        raise UnsupportedSizeError(f"{e} edges exceed the supported limit of {MAX_ENUM_GROUND}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,7 @@ class SignedRotation:
         bad = [self.labels[i] for i, c in enumerate(counts) if c != 2]
         if bad:
             raise ValueError(f"labels must occur exactly twice; offending: {bad}")
-        check_edge_count(self.e)
+        check_enum_size(self.e)  # the edges are its delta-matroid's ground set
 
     @property
     def e(self) -> int:

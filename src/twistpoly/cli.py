@@ -23,7 +23,7 @@ from .bouquet import (
 )
 from .core import (
     ParseError,
-    ascii_int,
+    element_index,
     format_dm,
     is_delta_matroid,
     loops_coloops,
@@ -57,12 +57,7 @@ def _parse_index_set(text: str, n: int) -> int:
         return 0
     mask = 0
     for tok in text.split(","):
-        try:
-            e = ascii_int(tok)
-        except ValueError:
-            raise ParseError(f"malformed element index {tok!r}") from None
-        if not 0 <= e < n:
-            raise ParseError(f"element {e} out of range 0..{n - 1}")
+        e = element_index(tok, n)
         if (mask >> e) & 1:
             raise ParseError(f"element {e} repeated")
         mask |= 1 << e

@@ -47,6 +47,17 @@ def signed_int(tok: str) -> int:
     return ascii_int(text)
 
 
+def element_index(tok: str, n: int) -> int:
+    """The element of {0..n-1} that the text ``tok`` names, or ParseError."""
+    try:
+        e = ascii_int(tok)
+    except ValueError:
+        raise ParseError(f"malformed element index {tok!r}") from None
+    if e >= n:
+        raise ParseError(f"element {e} out of range 0..{n - 1}")
+    return e
+
+
 def check_enum_size(n: int) -> None:
     if n > MAX_ENUM_GROUND:
         raise UnsupportedSizeError(
@@ -132,8 +143,10 @@ def is_delta_matroid(s: SetSystem) -> bool:
     """Symmetric exchange axiom, by direct quantifier evaluation.
 
     True iff ``s`` is proper and for all feasible X, Y and u in X△Y there
-    is v in X△Y (v = u allowed) with X△{u,v} feasible.  O(|F|^2 n^2); the
-    supported sizes make cleverness unnecessary.
+    is v in X△Y (v = u allowed) with X△{u,v} feasible.  O(|F|^2 n^2)
+    operations on n-bit ints, which is slow within the supported sizes:
+    minutes on a dense D(C) with n = 16.  ROADMAP item 3 describes a
+    bitset form of the same test.
     """
     feas = s.feasible
     if not feas:
@@ -285,13 +298,7 @@ def parse_dm(text: str) -> SetSystem:
         for tok in ln.split(","):
             e = index.get(tok)
             if e is None:
-                try:
-                    e = ascii_int(tok)
-                except ValueError:
-                    raise ParseError(f"malformed element index {tok!r}") from None
-                if e >= n:
-                    raise ParseError(f"element {e} out of range 0..{n - 1}")
-                index[tok] = e
+                e = index[tok] = element_index(tok, n)
             bit = 1 << e
             if bit <= mask:  # ascending iff each bit exceeds the mask of those before it
                 raise ParseError(f"indices must be strictly ascending in line {ln!r}")

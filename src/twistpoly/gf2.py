@@ -228,6 +228,7 @@ def parse_gf2(text: str) -> SymMatrixGF2:
         n = ascii_int(lines[0])
     except ValueError:
         raise ParseError(f"malformed size line {lines[0]!r}") from None
+    check_enum_size(n)  # a matrix is read only to build D(C); refuse before the rows
     if len(lines) != 1 + n:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []

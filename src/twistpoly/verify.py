@@ -9,8 +9,9 @@ counterexample list is empty.
 
 Every check takes one size, the value ``verify --max-n`` sets, and works
 out any other size from it or from its family's bound in ``_BOUNDS``.
-A random check also takes a seed; ``_RANDOM`` fixes its draw count and
-its largest size, past which it refuses to run before drawing anything.
+A random check also takes a seed; ``_RANDOM`` fixes the draw count and
+largest size of each sweep drawn at the size it takes, past which it
+refuses to run before drawing anything.
 
 The delta-matroids are found in one bitwise pass over all families and
 streamed, not cached: the module keeps no state between checks, so a
@@ -42,7 +43,6 @@ from .core import (
 from .bouquet import (
     SignedRotation,
     canonical_bouquet,
-    check_edge_count,
     delta_matroid_of_bouquet,
     euler_genus,
     interlacement_matrix,
@@ -72,13 +72,12 @@ _BOUNDS = {
     "all-signed-rotations": 4,
 }
 
-# (largest size, draws) per random sweep.  Past its largest size a delta-matroid
-# or rotation run would take over about two minutes (measured on a shared 2-core
-# VM; README, --max-n); graphs are drawn only at _BOUNDS["all-simple-graphs"] + 1.
+# (largest size, draws) of each random sweep drawn at the size --max-n sets;
+# monomial's draws are at a fixed n = 7.  Past its largest size a run would take
+# over about two minutes (measured on a shared 2-core VM; README, --max-n).
 _RANDOM = {
     "random-delta-matroids": (14, 500),
     "random-signed-rotations": (13, 10_000),
-    "random-simple-graphs": (7, 100_000),
 }
 
 
@@ -298,6 +297,7 @@ def _check_closed_form(
     theorem: str, name: str, t_max: int, polynomial: Callable[[int], WidthPolynomial]
 ) -> VerificationReport:
     """The polynomial of each name_t, t = 1..t_max, against the closed form."""
+    check_enum_size(min(t_max, MAX_ENUM_GROUND + 1))  # name_t has t elements; before any is built
     rep = VerificationReport(theorem)
     for t in range(1, t_max + 1):
         rep.checked += 1
@@ -339,7 +339,6 @@ def check_prop2(n_max: int = 4) -> VerificationReport:
 def check_lemma4(t_max: int = 12) -> VerificationReport:
     """Fully interleaved bouquets, traced, match their closed-form genus
     polynomial.  Their interlacement matrix is K_t: prop1 is the algebraic route."""
-    check_edge_count(min(t_max, MAX_ENUM_GROUND + 1))  # before any bouquet is traced
     return _check_closed_form(
         "lemma4", "B", t_max,
         lambda t: twist_polynomial_fast(delta_matroid_of_bouquet(canonical_bouquet(t))),
@@ -349,7 +348,6 @@ def check_lemma4(t_max: int = 12) -> VerificationReport:
 def check_prop1(v_max: int = 12) -> VerificationReport:
     """Complete intersection graphs: D(K_v adjacency) matches the same
     closed form as the interleaved bouquets."""
-    check_enum_size(min(v_max, MAX_ENUM_GROUND + 1))  # before any D(K_v) is built
     return _check_closed_form(
         "prop1", "K", v_max,
         lambda v: twist_polynomial_fast(delta_matroid_of_matrix(complete_graph_matrix(v))),
@@ -459,7 +457,7 @@ def check_monomial_complete_odd(n_max: int = 7, seed: int = 0) -> VerificationRe
     bound = _BOUNDS["all-simple-graphs"]
     rng = Random(seed)
     exhaustive = _sweep("all-simple-graphs", all_simple_graph_matrices, min(n_max, bound))
-    samples = _check_work_bound("random-simple-graphs", bound + 1) if n_max > bound else 0
+    samples = 100_000 if n_max > bound else 0
     sampled = (random_symmetric_matrix(bound + 1, rng, zero_diagonal=True) for _ in range(samples))
     for c in chain(exhaustive, sampled):
         if (graph := _binary_graph(rep, c)) is None:
@@ -478,7 +476,6 @@ def check_interlacement_oracle(e_max: int = 8, seed: int = 0) -> VerificationRep
     produce the same feasible sets, and the full-subgraph Euler genus must
     equal the delta-matroid width.  Exhaustive up to min(e_max, 4), then
     10^4 random rotations with up to e_max edges."""
-    check_edge_count(e_max)  # before any rotation is drawn
     draws = _check_work_bound("random-signed-rotations", e_max) if e_max >= 1 else 0
     rep = VerificationReport("interlacement-oracle", seed=seed)
 
@@ -530,7 +527,6 @@ def check_fast_naive_equivalence(n_random: int = 12, seed: int = 0) -> Verificat
     """The BFS polynomial path must agree bit-exactly with the definition:
     on every delta-matroid with n <= 4, then on 500 random ones with
     n = n_random."""
-    check_enum_size(n_random)  # before any random matrix is drawn
     draws = _check_work_bound("random-delta-matroids", n_random)
     rep = VerificationReport("fast-naive", seed=seed)
     for d in _sweep("all-delta-matroids", all_delta_matroids, _BOUNDS["all-delta-matroids"]):

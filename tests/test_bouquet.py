@@ -61,7 +61,7 @@ def test_parse_rejects(text):
 
 def test_parse_rejects_too_many_edges():
     labels = " ".join(str(i) for i in range(1, 18) for _ in range(1))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^ground set of size 17 exceeds"):
         parse_signed_rotation(labels + " " + labels)
 
 

@@ -312,12 +312,14 @@ def _limit_address_space():
         ("check", "100000000000\n1\n-\n"),
         ("from-graph", "20000\n"),
         ("from-graph", "100000000000\n"),
+        # 4 MB: n = 2000 rows of 2000 ones
+        ("from-matrix", "2000\n" + ("1" * 2000 + "\n") * 2000),
         ("intersection-graph", "1000000\n1\n-\n"),
         # 91 kB: one high element per line, each line a mask of 10^6 bits
         ("check", "1000000\n13000\n" + "".join(f"{999_999 - i}\n" for i in range(13000))),
     ],
-    ids=["check-n1e11", "from-graph-20000", "from-graph-1e11", "intersection-graph-n1e6",
-         "check-n1e6-k13000"],
+    ids=["check-n1e11", "from-graph-20000", "from-graph-1e11", "from-matrix-2000",
+         "intersection-graph-n1e6", "check-n1e6-k13000"],
 )
 def test_large_sizes_exit_2_under_a_memory_cap(tmp_path, command, text):
     path = _write(tmp_path, "big.in", text)
@@ -356,11 +358,14 @@ def test_one_line_of_many_high_elements_reads_under_a_memory_cap(tmp_path):
 @pytest.mark.parametrize(
     "suite, max_n, error",
     [
-        ("interlacement", 17, "17 edges exceed the supported limit of 16"),
-        ("interlacement", 10**9, "1000000000 edges exceed the supported limit of 16"),
-        ("fastnaive", 17, "ground set of size 17 exceeds the enumeration limit of 16"),
-        ("fastnaive", 10**5, "ground set of size 100000 exceeds the enumeration limit of 16"),
-        # within the enumeration limit, but past the running-time bound
+        # past the running-time bound, which lies inside the enumeration limit
+        ("interlacement", 17,
+         "random-signed-rotations sweep bounded at 13 by its running time, got 17"),
+        ("interlacement", 10**9,
+         "random-signed-rotations sweep bounded at 13 by its running time, got 1000000000"),
+        ("fastnaive", 17, "random-delta-matroids sweep bounded at 14 by its running time, got 17"),
+        ("fastnaive", 10**5,
+         "random-delta-matroids sweep bounded at 14 by its running time, got 100000"),
         ("interlacement", 14,
          "random-signed-rotations sweep bounded at 13 by its running time, got 14"),
         ("fastnaive", 15, "random-delta-matroids sweep bounded at 14 by its running time, got 15"),
@@ -369,7 +374,7 @@ def test_one_line_of_many_high_elements_reads_under_a_memory_cap(tmp_path):
         ("prop2", 5, "all-delta-matroids enumeration bounded at 4, got 5"),
         ("lemma5", 8, "all-delta-matroids enumeration bounded at 4, got 5"),
         ("bipartite", 8, "all-simple-graphs enumeration bounded at 6, got 7"),
-        ("lemma4", 10**9, "17 edges exceed the supported limit of 16"),
+        ("lemma4", 10**9, "ground set of size 17 exceeds the enumeration limit of 16"),
         ("all", 17, "all-delta-matroids enumeration bounded at 4, got 5"),
     ],
     ids=[

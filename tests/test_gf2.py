@@ -238,6 +238,11 @@ def test_parse_gf2_rejects(text):
         parse_gf2(text)
 
 
+def test_parse_gf2_refuses_a_large_size_before_its_rows():
+    with pytest.raises(core.UnsupportedSizeError):
+        parse_gf2("17\n01\n")
+
+
 GRAPH_TEXT = """3
 0 1
 0 2

@@ -233,8 +233,8 @@ def _unreachable(*args):
         ("constant", 8, "all-delta-matroids enumeration bounded at 4, got 5"),
         ("lemma5", 8, "all-delta-matroids enumeration bounded at 4, got 5"),
         ("bipartite", 8, "all-simple-graphs enumeration bounded at 6, got 7"),
-        ("lemma4", 17, "17 edges exceed the supported limit of 16"),
-        ("lemma4", 10**9, "17 edges exceed the supported limit of 16"),
+        ("lemma4", 17, "ground set of size 17 exceeds the enumeration limit of 16"),
+        ("lemma4", 10**9, "ground set of size 17 exceeds the enumeration limit of 16"),
         ("prop1", 10**9, "ground set of size 17 exceeds the enumeration limit of 16"),
         ("all", 8, "all-delta-matroids enumeration bounded at 4, got 5"),
     ],
