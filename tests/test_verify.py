@@ -168,7 +168,7 @@ def test_small_checks_pass():
 
 
 def test_checks_take_their_size_and_seed_only():
-    # the draw counts are fixed in verify._RANDOM, not set per call
+    # the draw counts are fixed in verify, not set per call
     for checks in verify._SUITES.values():
         for check in checks:
             names = list(inspect.signature(check).parameters)
