@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ParseError, SetSystem, check_enum_size, iter_elements, signed_int
+from .core import ParseError, SetSystem, check_enum_size, check_mask, iter_elements, signed_int
 from .gf2 import SymMatrixGF2, dc_bits
 from .poly import WidthPolynomial, twist_polynomial_of_bits
 
@@ -117,8 +117,7 @@ def boundary_components(b: SignedRotation, a: int) -> int:
     (a = 0) has one.  Tracing never builds D(C): it is the oracle of
     D(interlacement_matrix(b)).
     """
-    if not 0 <= a <= b.full_mask:
-        raise ValueError(f"edge mask {a} out of range")
+    check_mask(a, b.e)
     return _trace(_chord_table(b), a)
 
 
@@ -207,7 +206,3 @@ def partial_duality_polynomial(b: SignedRotation) -> WidthPolynomial:
     """
     return twist_polynomial_of_bits(dc_bits(interlacement_matrix(b)), b.e)
 
-
-def edge_table(b: SignedRotation) -> list[tuple[int, int, int, bool]]:
-    """(label, first position, second position, orientable) per edge."""
-    return [(b.labels[edge], *chord) for edge, chord in enumerate(b.chords())]

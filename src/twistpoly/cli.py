@@ -15,12 +15,7 @@ from functools import partial
 from operator import methodcaller
 from pathlib import Path
 
-from .bouquet import (
-    edge_table,
-    interlacement_matrix,
-    parse_signed_rotation,
-    partial_duality_polynomial,
-)
+from .bouquet import interlacement_matrix, parse_signed_rotation, partial_duality_polynomial
 from .core import (
     ParseError,
     element_index,
@@ -120,16 +115,12 @@ def _cmd_from_matrix(parse, args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_edge_table(rot) -> None:
-    print("edge  positions  type")
-    for label, p, q, orientable in edge_table(rot):
-        kind = "orientable" if orientable else "nonorientable"
-        print(f"{label:<5} {p},{q:<8} {kind}")
-
-
 def _cmd_from_bouquet(args: argparse.Namespace) -> int:
     rot = parse_signed_rotation(args.rotation)
-    _print_edge_table(rot)
+    print("edge  positions  type")
+    for label, (p, q, orientable) in zip(rot.labels, rot.chords()):
+        kind = "orientable" if orientable else "nonorientable"
+        print(f"{label:<5} {p},{q:<8} {kind}")
     sys.stdout.write(format_dm(delta_matroid_of_matrix(interlacement_matrix(rot))))
     return 0
 

@@ -65,6 +65,12 @@ def check_enum_size(n: int) -> None:
         )
 
 
+def check_mask(a: int, n: int) -> None:
+    """Refuse ``a`` unless it is a subset of {0..n-1}, a mask in 0..2^n - 1."""
+    if not 0 <= a < 1 << n:
+        raise ValueError(f"mask {a} out of range for ground set of size {n}")
+
+
 def mask_of(elements: Iterable[int]) -> int:
     """Bitmask of an iterable of element indices."""
     m = 0
@@ -145,7 +151,7 @@ def is_delta_matroid(s: SetSystem) -> bool:
     True iff ``s`` is proper and for all feasible X, Y and u in X△Y there
     is v in X△Y (v = u allowed) with X△{u,v} feasible.  O(|F|^2 n^2)
     operations on n-bit ints, which is slow within the supported sizes:
-    minutes on a dense D(C) with n = 16.  ROADMAP item 3 describes a
+    minutes on a dense D(C) with n = 16.  ROADMAP item 2 describes a
     bitset form of the same test.
     """
     feas = s.feasible
@@ -175,8 +181,7 @@ def is_delta_matroid(s: SetSystem) -> bool:
 
 def twist(d: SetSystem, a: int) -> SetSystem:
     """Twist D*A: replace every feasible set F by A△F."""
-    if not 0 <= a <= d.full_mask:
-        raise ValueError(f"twist mask {a} out of range for ground set of size {d.n}")
+    check_mask(a, d.n)
     return SetSystem(d.n, tuple(sorted(a ^ f for f in d.feasible)))
 
 
@@ -207,8 +212,6 @@ def loops_coloops(d: SetSystem) -> tuple[int, int]:
 def delete(d: SetSystem, e: int) -> SetSystem:
     """Delete element e: contract it if it is a coloop, else drop the sets
     containing it; surviving elements are re-indexed downward."""
-    if not 0 <= e < d.n:
-        raise ValueError(f"element {e} out of range for ground set of size {d.n}")
     return restrict(d, d.full_mask ^ (1 << e))
 
 
@@ -218,8 +221,7 @@ def restrict(d: SetSystem, a: int) -> SetSystem:
     this equals deleting the elements outside A one at a time, in any
     order.  On other set systems such deletion can depend on the order,
     and this can differ from deleting from high to low."""
-    if not 0 <= a <= d.full_mask:
-        raise ValueError(f"restriction mask {a} out of range")
+    check_mask(a, d.n)
     out = d.full_mask ^ a
     least = min(((f & out).bit_count() for f in d.feasible), default=0)
     kept = {f for f in d.feasible if (f & out).bit_count() == least}
@@ -247,8 +249,7 @@ def predicates(d: SetSystem) -> Predicates:
 
 def rho(d: SetSystem, a: int) -> int:
     """Bouchet's rank: |E| - min over feasible F of |A△F|."""
-    if not 0 <= a <= d.full_mask:
-        raise ValueError(f"mask {a} out of range")
+    check_mask(a, d.n)
     return d.n - min((a ^ f).bit_count() for f in d.feasible)
 
 

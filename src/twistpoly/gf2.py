@@ -2,10 +2,11 @@
 
 A symmetric matrix C over GF(2) determines a normal delta-matroid whose
 feasible sets are the index sets of nonsingular principal submatrices.
-Conversely the matrix of a normal binary delta-matroid is reconstructed
-from its feasible sets of size one and two.  Matrices are stored as
-tuples of row bitmasks, and a graph is its adjacency matrix: the
-intersection graph of D(C) is C itself, with a diagonal bit as a loop.
+Conversely the matrix of a normal binary delta-matroid is read off its
+sets of size one and two, as the principal minors of those orders.
+Matrices are stored as tuples of row bitmasks, and a graph is its
+adjacency matrix: the intersection graph of D(C) is C itself, with a
+diagonal bit as a loop.
 
 D(C) has one kernel, ``dc_bits``, which evaluates the determinant of
 every principal submatrix at once as the bits of one 2^n-bit int.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
-    ParseError, SetSystem, ascii_int, check_enum_size, iter_elements, set_bits, tile_bits,
+    ParseError, SetSystem, ascii_int, check_enum_size, iter_elements, mask_of, set_bits, tile_bits,
 )
 
 
@@ -114,26 +115,22 @@ def delta_matroid_of_matrix(c: SymMatrixGF2) -> SetSystem:
 def matrix_of_normal(d: SetSystem) -> SymMatrixGF2:
     """Reconstruct C from a normal delta-matroid's small feasible sets.
 
-    Diagonal: C_vv = 1 iff {v} is feasible.  Off-diagonal: C_uv = 1 iff
-    {u} and {v} are feasible but {u,v} is not, or {u,v} is feasible but
-    {u}, {v} are not both feasible.  Well defined for any normal system;
-    whether the result represents d is is_normal_binary's decision.
+    In D(C) a set is feasible iff its principal minor is 1, and over GF(2)
+    det C[{v}] = C_vv and det C[{u,v}] = C_uu·C_vv ⊕ C_uv.  So C_vv = [{v}
+    feasible] and C_uv = C_uu·C_vv ⊕ [{u,v} feasible].  Well defined for
+    any normal system; whether the result represents d is
+    is_normal_binary's decision.
     """
     if not d.feasible or d.feasible[0] != 0:
         raise ValueError("matrix reconstruction requires a normal delta-matroid")
     members = set(d.feasible)
-    rows = [0] * d.n
-    for v in range(d.n):
-        if (1 << v) in members:
-            rows[v] |= 1 << v
-    for u in range(d.n):
-        for v in range(u + 1, d.n):
-            singles = ((1 << u) in members, (1 << v) in members)
-            pair = (1 << u) | (1 << v) in members
-            if (all(singles) and not pair) or (pair and not all(singles)):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return SymMatrixGF2(d.n, tuple(rows))
+    odd = mask_of(v for v in range(d.n) if 1 << v in members)  # bit v is C_vv
+    rows = tuple(
+        (odd if odd >> u & 1 else 0)
+        ^ mask_of(v for v in range(d.n) if v != u and (1 << u | 1 << v) in members)
+        for u in range(d.n)
+    )
+    return SymMatrixGF2(d.n, rows)
 
 
 def _binary_matrix(d: SetSystem) -> SymMatrixGF2 | None:

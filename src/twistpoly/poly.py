@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SetSystem, check_enum_size, tile_bits
+from .core import SetSystem, check_enum_size, check_mask, tile_bits
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,7 @@ def width(d: SetSystem) -> int:
 
 def twist_width(d: SetSystem, a: int) -> int:
     """Width of D*A without materializing the twist."""
-    if not 0 <= a <= d.full_mask:
-        raise ValueError(f"twist mask {a} out of range")
+    check_mask(a, d.n)
     sizes = [(a ^ f).bit_count() for f in d.feasible]
     return max(sizes) - min(sizes)
 

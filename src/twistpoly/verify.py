@@ -72,9 +72,10 @@ _BOUNDS = {
     "all-signed-rotations": 4,
 }
 
-# (largest size, draws) of each random sweep drawn at the size --max-n sets;
-# monomial's draws are at a fixed n = 7.  Past its largest size a run would take
-# over about two minutes (measured on a shared 2-core VM; README, --max-n).
+# (largest size, draws) of each random sweep drawn at the size --max-n sets.
+# Past its largest size a run would take over about two minutes (measured on a
+# shared 2-core VM; README, --max-n).  Monomial's 10^5 draws at n = 7 are fixed
+# in check_monomial_complete_odd, so it has no row.
 _RANDOM = {
     "random-delta-matroids": (14, 500),
     "random-signed-rotations": (13, 10_000),
@@ -229,8 +230,7 @@ def random_symmetric_matrix(
 
 
 def complete_graph_matrix(v: int) -> SymMatrixGF2:
-    full = (1 << v) - 1
-    return SymMatrixGF2(v, tuple(full ^ (1 << i) for i in range(v)))
+    return _symmetric_from_bits(v, (1 << v * (v - 1) // 2) - 1, zero_diagonal=True)
 
 
 def _pairings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -12,7 +12,6 @@ from twistpoly.bouquet import (
     boundary_components,
     canonical_bouquet,
     delta_matroid_of_bouquet,
-    edge_table,
     euler_genus,
     interlacement_matrix,
     parse_signed_rotation,
@@ -190,12 +189,6 @@ def test_rotation_from_pairing():
     assert str(rot) == "1 2 1 2"
     flipped = _rotation([(0, 2), (1, 3)], 0b00)
     assert str(flipped) == "1 2 -1 -2"
-
-
-def test_edge_table():
-    table = edge_table(parse_signed_rotation("(-1, -2, 3, 4, 2, 1, 3, 4)"))
-    assert table[0] == (1, 0, 5, False)
-    assert table[2] == (3, 2, 6, True)
 
 
 def test_signed_rotation_validation():

@@ -89,6 +89,14 @@ def test_from_bouquet(capsys):
     assert out.endswith("1\n2\n-\n0\n")
 
 
+def test_from_bouquet_edge_table(capsys):
+    assert run(["from-bouquet", "(-1, -2, 3, 4, 2, 1, 3, 4)"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "edge  positions  type"
+    assert rows[1] == "1     0,5        nonorientable"
+    assert rows[3] == "3     2,6        orientable"
+
+
 def test_intersection_graph(tmp_path, capsys):
     assert run(["intersection-graph", _write(tmp_path, "d.dm", PAIR_DM)]) == 0
     out = capsys.readouterr().out

@@ -26,6 +26,8 @@ from twistpoly.core import (
     rho,
     twist,
 )
+from twistpoly.bouquet import boundary_components, parse_signed_rotation
+from twistpoly.poly import twist_width
 from twistpoly.verify import all_delta_matroids, all_set_systems, random_delta_matroid
 
 REMARK = SetSystem.from_sets(2, [[0], [1]])  # ({1,2}, {{1},{2}}) 0-indexed
@@ -128,8 +130,26 @@ def test_direct_sum_twist_decomposition():
 def test_delete_examples():
     assert delete(PAIR, 1) == SetSystem.from_sets(1, [[]])
     assert delete(SetSystem.from_sets(1, [[0]]), 0) == TRIVIAL
-    with pytest.raises(ValueError):
-        delete(PAIR, 2)
+    for e in (2, -1):
+        with pytest.raises(ValueError):
+            delete(PAIR, e)
+
+
+@pytest.mark.parametrize("a", [-1, 4])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: twist(PAIR, a),
+        lambda a: restrict(PAIR, a),
+        lambda a: rho(PAIR, a),
+        lambda a: twist_width(PAIR, a),
+        lambda a: boundary_components(parse_signed_rotation("1 2 1 2"), a),
+    ],
+    ids=["twist", "restrict", "rho", "twist_width", "boundary_components"],
+)
+def test_subset_masks_have_one_guard(call, a):
+    with pytest.raises(ValueError, match="^mask (-1|4) out of range for ground set of size 2$"):
+        call(a)
 
 
 def test_delete_order_independence():

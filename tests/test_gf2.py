@@ -26,6 +26,7 @@ from twistpoly.gf2 import (
 from twistpoly.bouquet import canonical_bouquet, delta_matroid_of_bouquet
 from twistpoly.verify import (
     _symmetric_from_bits,
+    all_set_systems,
     all_simple_graph_matrices,
     complete_graph_matrix,
     random_symmetric_matrix,
@@ -86,6 +87,36 @@ def test_round_trip_exhaustive():
     for n in range(6):
         for c in every_symmetric_matrix(n):
             assert matrix_of_normal(delta_matroid_of_matrix(c)) == c
+
+
+def _matrix_of_normal_by_cases(d):
+    """The reconstruction as a case split on the small sets: C_vv = 1 iff
+    {v} is feasible, and C_uv = 1 iff {u} and {v} are feasible but {u,v}
+    is not, or {u,v} is feasible but {u}, {v} are not both feasible."""
+    members = set(d.feasible)
+    rows = [0] * d.n
+    for v in range(d.n):
+        if (1 << v) in members:
+            rows[v] |= 1 << v
+    for u in range(d.n):
+        for v in range(u + 1, d.n):
+            singles = ((1 << u) in members, (1 << v) in members)
+            pair = (1 << u) | (1 << v) in members
+            if (all(singles) and not pair) or (pair and not all(singles)):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return SymMatrixGF2(d.n, tuple(rows))
+
+
+def test_matrix_of_normal_matches_case_split():
+    normal = [d for n in range(4) for d in all_set_systems(n) if d.feasible[0] == 0]
+    assert len(normal) == 139  # 1 + 2 + 2^3 + 2^7, binary or not
+    rng = Random(22)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        normal.append(SetSystem(n, tuple(core.set_bits(rng.getrandbits(1 << n) | 1))))
+    for d in normal:
+        assert matrix_of_normal(d) == _matrix_of_normal_by_cases(d)
 
 
 def test_matrix_delta_matroids_are_normal_delta_matroids():
