@@ -89,7 +89,7 @@ def test_from_bouquet(capsys):
     assert out.endswith("1\n2\n-\n0\n")
 
 
-def test_from_bouquet_edge_table(capsys):
+def test_from_bouquet_chord_rows(capsys):
     assert run(["from-bouquet", "(-1, -2, 3, 4, 2, 1, 3, 4)"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0] == "edge  positions  type"
