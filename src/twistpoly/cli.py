@@ -91,7 +91,7 @@ def _cmd_twist(args: argparse.Namespace) -> int:
 
 
 def _cmd_twist_poly(args: argparse.Namespace) -> int:
-    d = parse_dm(_read(args.file))
+    d = parse_dm(_read(args.file), enumerable=True)  # every mode walks all 2^n subsets
     if args.mode == "naive":
         p = twist_polynomial_naive(d)
     elif args.mode == "both":

@@ -68,7 +68,11 @@ def check_enum_size(n: int) -> None:
 def check_mask(a: int, n: int) -> None:
     """Refuse ``a`` unless it is a subset of {0..n-1}, a mask in 0..2^n - 1."""
     if not 0 <= a < 1 << n:
-        raise ValueError(f"mask {a} out of range for ground set of size {n}")
+        try:
+            text = str(a)
+        except ValueError:  # past CPython's limit on the digits of an int's str
+            text = f"of bit length {a.bit_length()}"
+        raise ValueError(f"mask {text} out of range for ground set of size {n}")
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -270,8 +274,24 @@ def min_max_parts(d: SetSystem) -> tuple[SetSystem, SetSystem]:
 # empty set.
 
 
-def parse_dm(text: str) -> SetSystem:
-    lines = [ln.strip() for ln in text.splitlines()]
+# The text of the elements below 8 of a mask, by its low byte: as a whole
+# line ("-" for none) and as the head of a line that goes on ("" for none).
+# parse_dm reads them back through the two constant dicts below.
+_LOW_LINE = tuple(",".join(str(j) for j in range(8) if b >> j & 1) or "-" for b in range(256))
+_LOW_HEAD = tuple(text + "," if b else "" for b, text in enumerate(_LOW_LINE))
+_LINE_BYTE = dict(zip(_LOW_LINE, range(256)))
+_HEAD_BYTE = dict(zip(_LOW_HEAD, range(256)))
+
+
+def parse_dm(text: str, *, enumerable: bool = False) -> SetSystem:
+    """The set system of a .dm text; with ``enumerable``, a ground set past
+    the enumeration limit is refused right after the header.
+
+    A line is looked up whole in the low-byte table, or as a low head before
+    the high-part text (elements >= 8) of the last line read token by token.
+    Any other line is read by the token loop, which raises every ParseError.
+    """
+    lines = list(map(str.strip, text.splitlines()))
     while lines and not lines[-1]:
         lines.pop()
     if len(lines) < 2:
@@ -283,55 +303,80 @@ def parse_dm(text: str) -> SetSystem:
         raise ParseError(f"malformed header: {lines[0]!r} / {lines[1]!r}") from None
     if n > MAX_GROUND:
         raise ParseError(f"ground set size {n} exceeds the limit of {MAX_GROUND}")
+    if enumerable:
+        check_enum_size(n)
     if k == 0:
         raise ParseError("feasible family must be nonempty (k >= 1)")
     if n * k > MAX_MASK_BITS:
         raise ParseError(f"n*k = {n * k} mask bits exceed the limit of {MAX_MASK_BITS}")
     if len(lines) != 2 + k:
         raise ParseError(f"expected {k} feasible-set lines, found {len(lines) - 2}")
+    low = _LINE_BYTE if n >= 8 else {t: b for t, b in _LINE_BYTE.items() if b < 1 << n}
+    high_text, high, cut = None, 0, 0
     index: dict[str, int] = {}  # each token text's element (not its bit), checked when first seen
     masks = []
     for ln in lines[2:]:
-        if ln == "-":
-            masks.append(0)
-            continue
-        mask = 0
-        for tok in ln.split(","):
-            e = index.get(tok)
-            if e is None:
-                e = index[tok] = element_index(tok, n)
-            bit = 1 << e
-            if bit <= mask:  # ascending iff each bit exceeds the mask of those before it
-                raise ParseError(f"indices must be strictly ascending in line {ln!r}")
-            mask |= bit
+        mask = low.get(ln)
+        if mask is None and high_text is not None and ln.endswith(high_text):
+            mask = _HEAD_BYTE.get(ln[:cut])
+            if mask is not None:
+                mask |= high
+        if mask is None:
+            mask = 0
+            for tok in ln.split(","):
+                e = index.get(tok)
+                if e is None:
+                    e = index[tok] = element_index(tok, n)
+                bit = 1 << e
+                if bit <= mask:  # ascending iff each bit exceeds the mask of those before it
+                    raise ParseError(f"indices must be strictly ascending in line {ln!r}")
+                mask |= bit
+            if mask >> 8:  # the high text: this line's tokens after its elements < 8
+                j = (mask & 255).bit_count()
+                high_text, high = ln.split(",", j)[j], mask >> 8 << 8
+                cut = -len(high_text)
         masks.append(mask)
     if len(set(masks)) != len(masks):
         raise ParseError("duplicate feasible sets")
     return SetSystem(n, tuple(sorted(masks)))
 
 
+def _elements_text(m: int, memo: dict[int, str]) -> str:
+    """The elements of ``m``, ascending, joined by commas.  ``m`` is read a
+    byte at a time through ``int.to_bytes``, so the cost is linear in its
+    length, and the text of each (byte position, byte value) is built once
+    per memo."""
+    parts = []
+    for pos, byte in enumerate(m.to_bytes((m.bit_length() + 7) >> 3, "little")):
+        if byte:
+            key = pos << 8 | byte
+            text = memo.get(key)
+            if text is None:
+                base = pos << 3
+                text = memo[key] = ",".join(str(base + j) for j in range(8) if byte >> j & 1)
+            parts.append(text)
+    return ",".join(parts)
+
+
 def masks_text(masks: Iterable[int]) -> list[str]:
     """The .dm text of each mask: ascending element indices joined by
     commas, "-" for the empty set.
 
-    A mask is read a byte at a time through ``int.to_bytes``, so the cost
-    is linear in its length, and the text of each (byte position, byte
-    value) is built once per call and shared by all the masks.
+    A line is its low byte's table entry, followed by the text of its high
+    part (elements >= 8), which is written once for a run of masks that
+    share it, as a sorted family's masks do.
     """
     memo: dict[int, str] = {}
     out = []
+    high, text = 0, ""
     for m in masks:
-        parts = []
-        for pos, byte in enumerate(m.to_bytes((m.bit_length() + 7) >> 3, "little")):
-            if byte:
-                key = pos << 8 | byte
-                text = memo.get(key)
-                if text is None:
-                    base = pos << 3
-                    text = ",".join(str(base + j) for j in range(8) if byte >> j & 1)
-                    memo[key] = text
-                parts.append(text)
-        out.append(",".join(parts) or "-")
+        if m < 256:
+            out.append(_LOW_LINE[m])
+            continue
+        if m >> 8 != high:
+            high = m >> 8
+            text = _elements_text(high << 8, memo)
+        out.append(_LOW_HEAD[m & 255] + text)
     return out
 
 

@@ -187,6 +187,21 @@ def test_from_graph_refuses_a_large_vertex_count_before_reading_edges(tmp_path, 
     assert captured.err == "error: ground set of size 999999 exceeds the enumeration limit of 16\n"
 
 
+@pytest.mark.parametrize("tail", ["", "x\n"], ids=["valid", "malformed-last-line"])
+def test_twist_poly_refuses_a_large_ground_set_after_the_header(tmp_path, capsys, tail):
+    # 1.8 MB: 20 sets of 13,000 ascending elements of a ground set of 10^6
+    body = "".join(
+        ",".join(map(str, range(i * 13_000, (i + 1) * 13_000))) + "\n" for i in range(20)
+    )
+    path = _write(tmp_path, "big.dm", f"1000000\n{20 + bool(tail)}\n{body}{tail}")
+    start = time.perf_counter()
+    assert run(["twist-poly", path]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ground set of size 1000000 exceeds the enumeration limit of 16\n"
+
+
 def test_verify_suite(capsys):
     assert run(["verify", "--suite", "lemma4", "--max-n", "6"]) == 0
     out = capsys.readouterr().out

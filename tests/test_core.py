@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -150,6 +153,14 @@ def test_delete_examples():
 def test_subset_masks_have_one_guard(call, a):
     with pytest.raises(ValueError, match="^mask (-1|4) out of range for ground set of size 2$"):
         call(a)
+
+
+def test_a_mask_past_the_int_str_digit_limit_names_its_bit_length():
+    with pytest.raises(ValueError, match="^mask 35 out of range for ground set of size 2$"):
+        delete(PAIR, 5)
+    # str() of a mask of more than 4300 digits raises ValueError of its own
+    with pytest.raises(ValueError, match="^mask of bit length 100001 out of range for ground set of size 2$"):
+        delete(PAIR, 10**5)
 
 
 def test_delete_order_independence():
@@ -317,3 +328,93 @@ def test_format_dm_matches_element_text_and_round_trips(n):
     assert text == "\n".join([str(n), str(len(d.feasible)), *lines]) + "\n"
     assert parse_dm(text) == d
 
+
+
+def _oracle_text(m):
+    """The per-byte writer alone: every element's text, "-" for none."""
+    return core._elements_text(m, {}) or "-"
+
+
+def test_masks_text_matches_the_per_byte_writer_on_single_masks():
+    assert core.masks_text(range(1 << 10)) == [_oracle_text(m) for m in range(1 << 10)]
+    for m in range(1 << 10):
+        assert core.masks_text([m]) == [_oracle_text(m)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 40, 300, 20_000])
+def test_masks_text_matches_the_per_byte_writer_on_lists(n):
+    rng = Random(n)
+    count = 20 if n > 1000 else 300
+    # runs of masks that share a high part (elements >= 8), as sorted families have
+    highs = [rng.getrandbits(max(n - 8, 0)) << 8 for _ in range(3)]
+    masks = [rng.choice(highs) | rng.getrandbits(min(n, 8)) for _ in range(count)]
+    masks += [rng.getrandbits(n) for _ in range(count)]
+    for order in (sorted(set(masks)), masks):  # ascending, and unsorted with repeats
+        assert core.masks_text(order) == [_oracle_text(m) for m in order]
+        assert core.masks_text(iter(order)) == [_oracle_text(m) for m in order]
+
+
+def _parse_outcome(text):
+    try:
+        return parse_dm(text)
+    except core.ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _mutations(line, other):
+    """Malformed or altered versions of one .dm line; ``other`` is another line."""
+    toks = line.split(",")
+    return [
+        ",".join(reversed(toks)),
+        ",".join([*toks, toks[-1]]),  # a repeated element
+        line + ",99999",  # out of range for every n below
+        ", ".join(toks),
+        "0" + line,  # "03" for "3"
+        line + ",",
+        "-," + line,
+        other,  # a duplicate line
+        line.replace(toks[-1], str(int(toks[-1]) + 1)) if line != "-" else "0",
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 7, 8, 9, 12, 16, 17, 40, 300])
+def test_parse_dm_matches_the_token_loop(n, monkeypatch):
+    rng = Random(1000 + n)
+    texts = []
+    for _ in range(6):
+        highs = [rng.getrandbits(max(n - 8, 0)) << 8 for _ in range(2)]
+        masks = {rng.choice(highs) | rng.getrandbits(min(n, 8)) for _ in range(40)}
+        masks |= {rng.getrandbits(n) for _ in range(10)}
+        text = format_dm(SetSystem.from_masks(n, masks))
+        texts.append(text)
+        lines = text.splitlines()
+        for _ in range(9):
+            i = rng.randrange(2, len(lines))
+            for bad in _mutations(lines[i], lines[rng.randrange(2, len(lines))]):
+                texts.append("\n".join([*lines[:i], bad, *lines[i + 1:]]) + "\n")
+    fast = [_parse_outcome(text) for text in texts]
+    # with the tables down to "-", every other line goes through the token loop
+    monkeypatch.setattr(core, "_LINE_BYTE", {"-": 0})
+    monkeypatch.setattr(core, "_HEAD_BYTE", {})
+    assert fast == [_parse_outcome(text) for text in texts]
+    assert any(isinstance(out, SetSystem) for out in fast[1:])
+    assert any(isinstance(out, str) for out in fast)
+
+
+def test_parse_dm_of_many_distinct_high_parts_is_linear():
+    # 13,000 one-element lines at n = 20,000: every line has a new high part
+    code = (
+        "import time\n"
+        "from twistpoly.core import parse_dm\n"
+        "lines = ''.join(f'{e}\\n' for e in range(7_000, 20_000))\n"
+        "text = f'20000\\n13000\\n{lines}'\n"
+        "start = time.perf_counter()\n"
+        "assert len(parse_dm(text).feasible) == 13_000\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
