@@ -189,9 +189,10 @@ def test_from_graph_refuses_a_large_vertex_count_before_reading_edges(tmp_path, 
 
 @pytest.mark.parametrize("tail", ["", "x\n"], ids=["valid", "malformed-last-line"])
 def test_twist_poly_refuses_a_large_ground_set_after_the_header(tmp_path, capsys, tail):
-    # 1.8 MB: 20 sets of 13,000 ascending elements of a ground set of 10^6
+    # 1.8 MB: 20 sets of 13,000 ascending elements near the top of a ground set of 10^6
     body = "".join(
-        ",".join(map(str, range(i * 13_000, (i + 1) * 13_000))) + "\n" for i in range(20)
+        ",".join(map(str, range(740_000 + i * 13_000, 753_000 + i * 13_000))) + "\n"
+        for i in range(20)
     )
     path = _write(tmp_path, "big.dm", f"1000000\n{20 + bool(tail)}\n{body}{tail}")
     start = time.perf_counter()

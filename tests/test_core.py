@@ -159,7 +159,8 @@ def test_a_mask_past_the_int_str_digit_limit_names_its_bit_length():
     with pytest.raises(ValueError, match="^mask 35 out of range for ground set of size 2$"):
         delete(PAIR, 5)
     # str() of a mask of more than 4300 digits raises ValueError of its own
-    with pytest.raises(ValueError, match="^mask of bit length 100001 out of range for ground set of size 2$"):
+    message = "^mask of bit length 100001 out of range for ground set of size 2$"
+    with pytest.raises(ValueError, match=message):
         delete(PAIR, 10**5)
 
 
@@ -327,7 +328,6 @@ def test_format_dm_matches_element_text_and_round_trips(n):
     text = format_dm(d)
     assert text == "\n".join([str(n), str(len(d.feasible)), *lines]) + "\n"
     assert parse_dm(text) == d
-
 
 
 def _oracle_text(m):
